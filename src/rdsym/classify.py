@@ -18,6 +18,7 @@ from . import tables
 from .expr import (
     Expr,
     EvalDomainError,
+    ExprError,
     compile_expr,
     const,
     diff,
@@ -38,6 +39,7 @@ from .model import (
     ImagedEquation,
     Interval,
     RDEquation,
+    ValidationError,
     VectorField,
     require_valid,
 )
@@ -529,7 +531,7 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
         rt, _, asm = sqrt_resolved(eq.f, eq.domain, (eq.h,))
         F = simplify(-diff(diff(rt, "x", asm), "x", asm) / rt, asm)
         c2, c0, a2f = _fit_F_poly(F, eq.domain, 0.0)
-    except Exception:
+    except (_NoFit, ExprError, ValidationError):   # UnsupportedBranch is a ValidationError
         return kernel()
 
     if c2 == 0.0 and c0 == 0.0 and a2f > 0.25:

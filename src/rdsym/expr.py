@@ -1060,6 +1060,66 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     return run
 
 
+# -- sampled residuals -----------------------------------------------------
+
+# share of sample points a check may skip (domain errors, pole guards)
+# before it raises instead of deciding on what is left
+MAX_SKIP_FRACTION = 0.2
+
+
+@dataclass(frozen=True)
+class SampledResidual:
+    """Outcome of `sample_residual`: the worst relative and absolute
+    residual over the evaluated points, where the worst relative one sits,
+    and how many points were attempted and evaluated."""
+
+    max_rel: float
+    max_abs: float
+    worst_point: tuple[float, ...] | None
+    attempted: int
+    valid: int
+
+
+def sample_residual(terms: list[Expr], names: tuple[str, ...],
+                    points: Iterable[tuple[float, ...]],
+                    skip: Callable[[tuple[float, ...]], bool] | None = None,
+                    ) -> SampledResidual:
+    """Evaluate the additive terms of a residual at each point.
+
+    The residual at a point is the compensated sum of the term values; its
+    relative size divides by max(1, max |term|), so a genuine zero passes
+    even when single terms are large.  A point is skipped when a term
+    raises EvalDomainError or when skip(point) holds (skip may raise
+    EvalDomainError too).  Raises EvalDomainError when no point is
+    evaluated or more than MAX_SKIP_FRACTION of them are skipped.
+    """
+    fns = [compile_expr(t, names) for t in terms]
+    worst = worst_abs = 0.0
+    worst_pt = None
+    attempted = valid = 0
+    for pt in points:
+        attempted += 1
+        try:
+            if skip is not None and skip(pt):
+                continue
+            vals = [f(pt) for f in fns]
+        except EvalDomainError:
+            continue
+        valid += 1
+        res = abs(math.fsum(vals))
+        rel = res / max(1.0, *map(abs, vals))
+        if rel > worst:
+            worst, worst_pt = rel, pt
+        if res > worst_abs:
+            worst_abs = res
+    skipped = attempted - valid
+    if valid == 0 or skipped > MAX_SKIP_FRACTION * attempted:
+        raise EvalDomainError(
+            f"{skipped}/{attempted} sample points skipped; a check needs an evaluated "
+            f"point and may skip at most {MAX_SKIP_FRACTION:.0%}")
+    return SampledResidual(worst, worst_abs, worst_pt, attempted, valid)
+
+
 # -- numeric equality ------------------------------------------------------
 
 def max_deviation(
@@ -1069,32 +1129,17 @@ def max_deviation(
     n: int = 64,
 ) -> float:
     """Largest hybrid relative deviation |a-b| / max(1,|a|,|b|) over n
-    quasi-random points of the interval box; domain-error points are
-    skipped.  Raises EvalDomainError when every point fails."""
+    quasi-random points of the interval box (see `sample_residual` for
+    skipped points)."""
     names = tuple(sorted(set(free_variables(a)) | set(free_variables(b))))
     for nm in names:
         if nm not in box:
             raise ExprError(f"num_equal box is missing an interval for {nm!r}")
-    fa = compile_expr(a, names)
-    fb = compile_expr(b, names)
     lows = [box[nm][0] for nm in names]
     spans = [box[nm][1] - box[nm][0] for nm in names]
-    worst = 0.0
-    valid = 0
-    for pt in halton_points(max(len(names), 1), n):
-        vals = tuple(lo + s * c for lo, s, c in zip(lows, spans, pt))
-        try:
-            va = fa(vals)
-            vb = fb(vals)
-        except EvalDomainError:
-            continue
-        valid += 1
-        dev = abs(va - vb) / max(1.0, abs(va), abs(vb))
-        if dev > worst:
-            worst = dev
-    if valid == 0:
-        raise EvalDomainError("all sample points hit domain errors")
-    return worst
+    points = (tuple(lo + s * c for lo, s, c in zip(lows, spans, pt))
+              for pt in halton_points(max(len(names), 1), n))
+    return sample_residual([a, neg(b)], names, points).max_rel
 
 
 def num_equal(

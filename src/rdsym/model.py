@@ -7,19 +7,20 @@ raising, so callers can decide how strict to be.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .expr import (
+    MAX_SKIP_FRACTION,
     Expr,
     EvalDomainError,
+    ExprError,
     compile_expr,
     diff,
     free_variables,
     parse,
     to_str,
 )
-from .sampling import halton_points
+from .sampling import halton_points, halton_scaled
 
 _NONVANISH_SAMPLES = 64
 
@@ -31,8 +32,6 @@ class ValidationError(Exception):
 def _safe_str(e: Expr) -> str:
     """Grammar string of an expression; numeric-fallback tables have no
     grammar form and serialize as a marker."""
-    from .expr import ExprError
-
     try:
         return to_str(e)
     except ExprError:
@@ -54,9 +53,6 @@ class Interval:
         span = self.hi - self.lo
         return [self.lo + span * p[0] for p in halton_points(1, n)]
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def as_json(self) -> str:
         return f"x:{self.lo}..{self.hi}"
 
@@ -71,7 +67,8 @@ def sign_on(e: Expr, domain: Interval, name: str = "x") -> int:
     """Sign of a one-variable expression on a domain.
 
     Returns +1/-1 if the sampled sign is constant and nonvanishing;
-    0 when the expression changes sign or vanishes.
+    0 when the expression changes sign, vanishes or is undefined at a
+    sample.
     """
     fn = compile_expr(e, (name,))
     sign = 0
@@ -79,7 +76,7 @@ def sign_on(e: Expr, domain: Interval, name: str = "x") -> int:
         try:
             v = fn((x,))
         except EvalDomainError:
-            continue
+            return 0
         if v == 0.0:
             return 0
         s = 1 if v > 0 else -1
@@ -92,7 +89,7 @@ def sign_on(e: Expr, domain: Interval, name: str = "x") -> int:
 
 def _nonvanishing(e: Expr, domain: Interval, label: str, threshold: float = 0.0) -> list[str]:
     if sign_on(e, domain) == 0:
-        return [f"{label} vanishes or changes sign on {domain.as_json()}"]
+        return [f"{label} vanishes, changes sign or is undefined on {domain.as_json()}"]
     return []
 
 
@@ -337,17 +334,18 @@ class PointTransformation:
         try:
             for comp in (self.T, self.X, self.V):
                 rows.append([diff(comp, n) for n in names])
-        except Exception as exc:
+        except ExprError as exc:
             return [f"cannot differentiate components: {exc}"]
         xlo, xhi = (domain.lo, domain.hi) if domain else (0.5, 2.0)
         box = [(0.5, 2.0), (xlo, xhi), (0.5, 2.0)]
         fns = [[compile_expr(c, names) for c in row] for row in rows]
-        from .sampling import halton_scaled
-
-        for pt in halton_scaled(box, 16):
+        pts = halton_scaled(box, 16)
+        skipped = 0
+        for pt in pts:
             try:
                 m = [[f(pt) for f in row] for row in fns]
             except EvalDomainError:
+                skipped += 1
                 continue
             det = (
                 m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -356,6 +354,8 @@ class PointTransformation:
             )
             if abs(det) < 1e-12:
                 return [f"Jacobian vanishes near t={pt[0]:.3g}, x={pt[1]:.3g}"]
+        if skipped > MAX_SKIP_FRACTION * len(pts):
+            return [f"Jacobian is undefined at {skipped}/{len(pts)} sample points"]
         return []
 
     def as_dict(self) -> dict:
@@ -425,9 +425,6 @@ class ClassificationResult:
             "notes": list(self.notes),
             "ambiguous_with": list(self.ambiguous_with),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 All sampling-based checks (numeric equality, symmetry verification, grid
 sweeps) draw from the same Halton sequence so results are reproducible.
-The environment variable RDSYM_SEED shifts the start index.
+The environment variable RDSYM_SEED, a non-negative integer, shifts the
+start index.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ def _seed_offset() -> int:
     if not raw:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        return 0
+        seed = -1
+    # a negative start index would put every Halton point at the origin
+    if seed < 0:
+        raise ValueError(f"RDSYM_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _radical_inverse(i: int, base: int) -> float:

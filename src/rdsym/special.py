@@ -59,20 +59,6 @@ def whittaker_m(kappa: float, mu: float, z: float) -> float:
     return math.exp(-0.5 * z) * z ** (mu + 0.5) * kummer_m(mu - kappa + 0.5, b, z)
 
 
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of positive a, b."""
-    while abs(a - b) > _AGM_TOL * abs(a):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a
-
-
-def complete_k(k: float) -> float:
-    """Complete elliptic integral K(k) (modulus convention) via the AGM."""
-    if not 0.0 < k < 1.0:
-        raise SpecialFunctionError(f"modulus k={k} outside (0,1)")
-    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
-
-
 def jacobi(z: float, k: float) -> tuple[float, float, float]:
     """Jacobi elliptic (sn, cn, dn)(z, k) via the descending Landen/AGM
     scheme; modulus k in (0,1), real z."""

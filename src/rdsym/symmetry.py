@@ -21,11 +21,12 @@ from .expr import (
     const,
     diff,
     free_variables,
+    sample_residual,
     simplify,
     substitute,
     var,
 )
-from .model import Equation, VectorField
+from .model import Equation, Interval, VectorField
 from .sampling import halton_scaled
 
 # canonical jet coordinate names (dependent variable renamed to u)
@@ -157,39 +158,23 @@ def lie_residual(eq: Equation, Q: VectorField, jp: JetPoint) -> float:
     return math.fsum(f(pt) for f in fns)
 
 
-def _default_box(eq: Equation, box: dict | None) -> list[tuple[float, float]]:
-    box = dict(box or {})
-    box.setdefault("x", (eq.domain.lo, eq.domain.hi))
-    return [box.get(n, _DEFAULT_RANGE) for n in _JET6]
-
-
-def _sampled_verification(terms: list[Expr], names: tuple[str, ...],
-                          box: list[tuple[float, float]], n: int,
-                          tol: float) -> VerificationReport:
-    fns = [compile_expr(t, names) for t in terms]
-    worst = 0.0
-    worst_pt = None
-    valid = 0
-    for pt in halton_scaled(box, n):
-        try:
-            vals = [f(pt) for f in fns]
-        except EvalDomainError:
-            continue
-        valid += 1
-        scale = max(1.0, max(abs(v) for v in vals))
-        rel = abs(math.fsum(vals)) / scale
-        if rel > worst:
-            worst, worst_pt = rel, pt
-    if valid == 0:
-        raise EvalDomainError("all sample jet points hit domain errors")
-    return VerificationReport(worst <= tol, worst, valid, worst_pt)
+def sampled_verification(terms: list[Expr], names: tuple[str, ...],
+                         domain: Interval, box: dict | None, n: int,
+                         tol: float) -> VerificationReport:
+    """Residual terms sampled at n Halton points and judged against tol
+    (see `sample_residual`).  A name missing from the box ranges over the
+    domain (x) or over (0.5, 2)."""
+    box = {"x": (domain.lo, domain.hi), **(box or {})}
+    ranges = [box.get(nm, _DEFAULT_RANGE) for nm in names]
+    r = sample_residual(terms, names, halton_scaled(ranges, n))
+    return VerificationReport(r.max_rel <= tol, r.max_rel, r.valid, r.worst_point)
 
 
 def verify_lie(eq: Equation, Q: VectorField, n: int = 64, tol: float = 1e-8,
                box: dict | None = None) -> VerificationReport:
     """Sampling check of the infinitesimal invariance criterion."""
     terms = _lie_residual_terms(eq, Q)
-    return _sampled_verification(terms, _JET6, _default_box(eq, box), n, tol)
+    return sampled_verification(terms, _JET6, eq.domain, box, n, tol)
 
 
 # -- nonclassical (conditional) invariance ----------------------------------
@@ -266,10 +251,7 @@ def verify_nonclassical(eq: Equation, Q: VectorField, n: int = 64,
                         box: dict | None = None) -> VerificationReport:
     """Sampling check of the conditional invariance criterion (tau=1)."""
     terms = _conditional_residual_terms(eq, Q)
-    box = dict(box or {})
-    box.setdefault("x", (eq.domain.lo, eq.domain.hi))
-    ranges = [box.get(nm, _DEFAULT_RANGE) for nm in _JET4]
-    return _sampled_verification(terms, _JET4, ranges, n, tol)
+    return sampled_verification(terms, _JET4, eq.domain, box, n, tol)
 
 
 # -- algebra operations -------------------------------------------------------

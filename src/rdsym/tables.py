@@ -245,13 +245,6 @@ def t2_constraint_violations(row: int, params: dict) -> list[str]:
 
 # -- initial class -------------------------------------------------------------
 
-def whittaker_f(kappa: float, mu: float, beta: float) -> Expr:
-    """x^{-1} M_{kappa,mu}(beta x^2)^2, the coefficient shape of the
-    Whittaker rows."""
-    w = func("whitM", const(kappa), const(mu), const(beta) * X ** 2)
-    return X ** -1.0 * w ** 2
-
-
 def initial_fh(case: str, params: dict, m: float) -> tuple[Expr, Expr]:
     d = const(params["delta"])
     mp1 = m + 1.0

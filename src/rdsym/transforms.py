@@ -26,6 +26,7 @@ from .expr import (
     ln,
     num_equal,
     pow_,
+    sample_residual,
     simplify,
     sqrt,
     substitute,
@@ -45,7 +46,7 @@ from .model import (
     sign_on,
 )
 from .sampling import halton_scaled
-from .symmetry import VerificationReport, total_derivative
+from .symmetry import VerificationReport, sampled_verification, total_derivative
 from .tables import alpha_of, beta_of
 
 X = var("x")
@@ -406,16 +407,7 @@ def preimage_ode_residual(eq: RDEquation, F: Expr, n: int = 64) -> float:
     """Max relative residual of (sqrt|f|)_xx + F sqrt|f| = 0 on the domain."""
     r, _, asm = sqrt_resolved(eq.f, eq.domain)
     terms = [simplify(diff(diff(r, "x", asm), "x", asm)), simplify(F * r)]
-    fns = [compile_expr(t, ("x",)) for t in terms]
-    worst = 0.0
-    for (xv,) in halton_scaled([(eq.domain.lo, eq.domain.hi)], n):
-        try:
-            vals = [f((xv,)) for f in fns]
-        except EvalDomainError:
-            continue
-        scale = max(1.0, max(abs(v) for v in vals))
-        worst = max(worst, abs(math.fsum(vals)) / scale)
-    return worst
+    return _ode_residual(terms, eq.domain, n)
 
 
 # -- equivalence groups ---------------------------------------------------------
@@ -436,20 +428,7 @@ def psi_from_constants(g: Expr, c1: float, c2: float, x0: float) -> Expr:
 
 
 def _ode_residual(terms: list[Expr], domain: Interval, n: int = 48) -> float:
-    fns = [compile_expr(t, ("x",)) for t in terms]
-    worst = 0.0
-    valid = 0
-    for (xv,) in halton_scaled([(domain.lo, domain.hi)], n):
-        try:
-            vals = [f((xv,)) for f in fns]
-        except EvalDomainError:
-            continue
-        valid += 1
-        scale = max(1.0, max(abs(v) for v in vals))
-        worst = max(worst, abs(math.fsum(vals)) / scale)
-    if valid == 0:
-        raise EvalDomainError("ODE residual: no valid sample points")
-    return worst
+    return sample_residual(terms, ("x",), halton_scaled([(domain.lo, domain.hi)], n)).max_rel
 
 
 def _check_psi_second_order(g: Expr, psi: Expr, domain: Interval):
@@ -1089,26 +1068,6 @@ def tr_imaged_from_initial(tr: PointTransformation, src: RDEquation,
                                dep="v", new_dep="v")
 
 
-def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:
-    """Apply `first`, then `second` (components composed symbolically).
-
-    `first` maps dep -> mid, `second` maps mid -> out; the inverse
-    components of `first` are expressions in (t, x, mid) and get the
-    inverse of `second` substituted in.
-    """
-    dep, mid, out = first.dep, first.new_dep, second.new_dep
-    s2 = second if second.dep == mid else second.renamed(mid)
-    fwd = {"t": first.T, "x": first.X, mid: first.V}
-    T2 = simplify(substitute(s2.T, fwd))
-    X2 = simplify(substitute(s2.X, fwd))
-    V2 = simplify(substitute(s2.V, fwd))
-    inv = {"t": s2.inv_T, "x": s2.inv_X, mid: s2.inv_V}
-    iT = simplify(substitute(first.inv_T, inv))
-    iX = simplify(substitute(first.inv_X, inv))
-    iV = simplify(substitute(first.inv_V, inv))
-    return PointTransformation(T2, X2, V2, iT, iX, iV, dep=dep, new_dep=out)
-
-
 # -- push-forwards ---------------------------------------------------------------
 
 def pushforward_operator(Q: VectorField, f: Expr, domain: Interval,
@@ -1173,22 +1132,4 @@ def map_residual_check(src: Equation, tgt: Equation, tr: PointTransformation,
         return simplify(substitute(e, {"u_t": E_src}))
 
     terms = [on_shell(ut_new), simplify(-on_shell(E_tgt_sub))]
-    box = dict(box or {})
-    box.setdefault("x", (src.domain.lo, src.domain.hi))
-    ranges = [box.get(nm, (0.5, 2.0)) for nm in names]
-    fns = [compile_expr(t, names) for t in terms]
-    worst, worst_pt, valid = 0.0, None, 0
-    for pt in halton_scaled(ranges, n):
-        try:
-            vals = [f(pt) for f in fns]
-        except EvalDomainError:
-            continue
-        valid += 1
-        scale = max(1.0, max(abs(v) for v in vals))
-        rel = abs(math.fsum(vals)) / scale
-        if rel > worst:
-            worst, worst_pt = rel, pt
-    if valid < max(4, n // 4):
-        raise EvalDomainError(
-            f"map check: only {valid}/{n} sample points were evaluable")
-    return VerificationReport(worst <= tol, worst, valid, worst_pt)
+    return sampled_verification(terms, names, src.domain, box, n, tol)

@@ -35,6 +35,12 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_undefined_coefficient_exit_2(self, capsys):
+        code, out, _ = run(capsys, "classify", "--class", "initial",
+                           "--f", "1", "--g", "1", "--h", "sqrt(x-1)",
+                           "--m", "3", "--domain", "x:0.5..3")
+        assert (code, out) == (2, "")
+
     def test_unknown_flag_exit_64(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["classify", "--bogus", "1"])
@@ -138,6 +144,12 @@ class TestCatalog:
         data = json.loads(out)
         assert data["failures"] == []
 
+    def test_verify_empty_filter(self, capsys):
+        code, out, _ = run(capsys, "catalog", "verify-all", "--filter", "name=no-such-entry")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["entries"], data["max_rel_residual"], data["failures"]) == (0, 0.0, [])
+
 
 def test_seed_changes_sample_points(capsys, monkeypatch):
     import rdsym.sampling as sampling
@@ -152,6 +164,15 @@ def test_seed_changes_sample_points(capsys, monkeypatch):
     sampling._halton_cached.cache_clear()
     assert before != after
     assert before == sampling.halton_points(2, 4)
+
+
+@pytest.mark.parametrize("seed", ["-200", "1.5"])
+def test_bad_seed_rejected(monkeypatch, seed):
+    import rdsym.sampling as sampling
+
+    monkeypatch.setenv("RDSYM_SEED", seed)
+    with pytest.raises(ValueError, match="RDSYM_SEED"):
+        sampling.halton_points(2, 4)
 
 
 def test_map_general_to_gauged(capsys):

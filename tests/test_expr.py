@@ -14,6 +14,7 @@ from rdsym.expr import (
     max_deviation,
     num_equal,
     parse,
+    sample_residual,
     simplify,
     substitute,
     to_str,
@@ -286,3 +287,26 @@ def test_parameter_nodes():
     assert diff(e, "m") == const(0.0)   # parameters are never differentiated
     assert evaluate(e, {"m": 3.0, "x": 2.0}) == 6.0
     assert free_variables(e) == {"m", "x"}
+
+
+class TestSampleResidual:
+    PTS = [(float(i),) for i in range(10)]
+
+    def test_worst_point_and_counts(self):
+        r = sample_residual([parse("x"), const(-1)], ("x",), self.PTS)
+        assert (r.max_rel, r.worst_point, r.max_abs) == (1.0, (0.0,), 8.0)
+        assert (r.attempted, r.valid) == (10, 10)
+
+    @pytest.mark.parametrize("term,skip,raises", [
+        ("sqrt(x - 1.5)", None, False),   # 2 of 10 points skipped: at the budget
+        ("sqrt(x - 2.5)", None, True),
+        ("x", lambda pt: pt[0] < 2, False),
+        ("x", lambda pt: pt[0] < 3, True),
+    ])
+    def test_skip_budget(self, term, skip, raises):
+        if raises:
+            with pytest.raises(EvalDomainError, match="3/10 sample points skipped"):
+                sample_residual([parse(term)], ("x",), self.PTS, skip)
+        else:
+            r = sample_residual([parse(term)], ("x",), self.PTS, skip)
+            assert (r.attempted, r.valid) == (10, 8)

@@ -35,6 +35,10 @@ class TestValidate:
         eq = RDEquation(const(1), const(1), parse("x"), 3.0, Interval(-1.0, 1.0))
         assert any("h" in v for v in validate(eq))
 
+    def test_h_undefined_on_part_of_domain(self):
+        eq = RDEquation(const(1), const(1), parse("sqrt(x-1)"), 3.0, Interval(0.5, 3.0))
+        assert any("h" in v for v in validate(eq))
+
     def test_sign_changing_f(self):
         eq = RDEquation(parse("cos(x)"), parse("cos(x)"), const(1), 3.0,
                         Interval(0.5, 2.5))
@@ -101,6 +105,10 @@ class TestPointTransformation:
     def test_degenerate_jacobian(self):
         tr = PointTransformation(parse("t"), parse("t"), parse("u"))
         assert tr.violations()
+
+    def test_undefined_jacobian(self):
+        tr = PointTransformation(parse("t"), parse("sqrt(x-5)"), parse("u"))
+        assert tr.violations() == ["Jacobian is undefined at 16/16 sample points"]
 
     def test_inverse_swaps_components(self):
         tr = PointTransformation(parse("2*t"), parse("x"), parse("3*u"),

@@ -6,7 +6,7 @@ from dataclasses import replace
 from rdsym import solutions as sol
 from rdsym import tables
 from rdsym.expr import const, num_equal, parse, pow_, simplify, var
-from rdsym.model import ValidationError
+from rdsym.model import ImagedEquation, Interval, ValidationError
 from rdsym.transforms import apply_additional
 
 
@@ -160,3 +160,12 @@ def test_skip_budget_enforced():
     bad = replace(entry, expr=parse("ds(0.0000001*x, 0.7071067811865476)"))
     with pytest.raises(ValidationError, match="skipped"):
         sol.verify_on_grid(bad)
+
+
+def test_skip_budget_counts_domain_errors():
+    eq = ImagedEquation(const(0), const(-28 / 9), 2.5, Interval(0.5, 2.0))
+    entry = sol.SolutionEntry("pow", eq, parse("x^(-4/3)"))
+    assert sol.verify_on_grid(entry).max_rel_residual < 1e-12
+    # x^(-4/3) is undefined on the 7 of 20 grid columns with x < 0
+    with pytest.raises(ValidationError, match="skipped"):
+        sol.verify_on_grid(entry, grid=sol.GridSpec(x_range=(-1.0, 2.0)))

@@ -4,6 +4,7 @@ import pytest
 
 from rdsym import tables
 from rdsym.expr import (
+    EvalDomainError,
     const,
     evaluate,
     max_deviation,
@@ -13,6 +14,7 @@ from rdsym.expr import (
     var,
 )
 from rdsym.model import (
+    IDENTITY,
     EquivParams,
     ImagedEquation,
     Interval,
@@ -442,3 +444,24 @@ class TestM2Groups:
         with pytest.raises(ValidationError, match="chi"):
             apply_equiv(eq, EquivParams(delta=(1, 1, 0, 0, 1, 0),
                                         chi=parse("x^2")), "imaged-m2")
+
+
+# v = x^(-4/3) solves v_t = v_xx - 28/9 v^2.5, whose scaling operator is below;
+# u^2.5 is undefined on the third of U_PARTLY_NEGATIVE below zero
+M25 = ImagedEquation(const(0), const(-28 / 9), 2.5, Interval(0.5, 2.0))
+M25_SCALING = VectorField(parse("2*t"), parse("x"), parse("-4/3*v"), "v")
+U_PARTLY_NEGATIVE = {"u": (-1.0, 2.0)}
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_lie(M25, M25_SCALING, box=U_PARTLY_NEGATIVE),
+    lambda: map_residual_check(M25, M25, IDENTITY, box=U_PARTLY_NEGATIVE),
+    lambda: num_equal(parse("sqrt(x - 1.25)"), parse("sqrt(x - 1.25)"),
+                      {"x": (0.5, 2.0)}, 64, 1e-9),
+    lambda: preimage_ode_residual(
+        RDEquation(const(1), const(1), const(1), 3.0, Interval(0.5, 2.0)),
+        parse("ln(x - 5)")),
+], ids=["verify_lie", "map_residual_check", "num_equal", "preimage_ode_residual"])
+def test_checks_raise_past_skip_budget(check):
+    with pytest.raises(EvalDomainError, match="skipped"):
+        check()
