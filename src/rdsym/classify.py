@@ -11,6 +11,7 @@ lands in the kernel case (row 0, algebra <d_t>).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .model import (
     RDEquation,
     ValidationError,
     VectorField,
+    constant_on,
     require_valid,
 )
-from .sampling import halton_scaled
 from .transforms import sqrt_resolved
 
 X = var("x")
@@ -52,10 +53,6 @@ _FIT_SAMPLES = 32
 _FIT_TOL = 1e-7
 _CONFIRM_TOL = 1e-9
 _ZERO_TOL = 1e-9
-
-
-def _samples(domain: Interval, n: int = _FIT_SAMPLES) -> list[float]:
-    return [p[0] for p in halton_scaled([(domain.lo, domain.hi)], n)]
 
 
 def _eval_many(e: Expr, xs: list[float]) -> list[float] | None:
@@ -88,7 +85,7 @@ class _NoFit(Exception):
 def _fit_H_family(H: Expr, domain: Interval, asm) -> dict:
     """Fit H = delta |x+nu|^k exp(p x^2 + q x) via the log-derivative
     H'/H = k/(x+nu) + 2p x + q."""
-    xs = _samples(domain)
+    xs = domain.samples(_FIT_SAMPLES)
     s_expr = simplify(diff(H, "x", asm) / H)
     sv = _eval_many(s_expr, xs)
     hv = _eval_many(H, xs)
@@ -135,7 +132,7 @@ def _fit_H_family(H: Expr, domain: Interval, asm) -> dict:
 
 def _fit_F_poly(F: Expr, domain: Interval, nu: float) -> tuple[float, float, float]:
     """Fit F = c2 (x+nu)^2 + c0 + a2 (x+nu)^(-2)."""
-    xs = _samples(domain)
+    xs = domain.samples(_FIT_SAMPLES)
     fv = _eval_many(F, xs)
     if fv is None:
         raise _NoFit("F not evaluable")
@@ -170,6 +167,36 @@ def _norm_note(delta: float) -> tuple[str, ...]:
             "by a scaling of the dependent variable",)
 
 
+def _kernel(cls: str, dep: str, *notes: str) -> ClassificationResult:
+    """The kernel case of a table: no row fits, the algebra is <d_t>."""
+    return ClassificationResult(f"{cls}/0", {}, (tables._dt(dep),), notes)
+
+
+def _confirmed(case: str, pairs, box: dict, params: dict, operators,
+               shift: float = 0.0,
+               notes: tuple[str, ...] = ()) -> ClassificationResult | None:
+    """The result for a row whose templates match, else None.
+
+    `pairs` holds (element, template) pairs, checked in order with
+    num_equal at _CONFIRM_TOL on 64 points up to the first failure; the
+    templates and the operators are shifted by x -> x + shift.
+    `operators` is a thunk, called only after a match.
+    """
+    try:
+        for e, template in pairs:
+            if not num_equal(e, _shifted(template, shift), box, 64, _CONFIRM_TOL):
+                return None
+    except EvalDomainError:
+        return None
+    out_params = dict(params)
+    if shift != 0.0:
+        out_params["nu"] = shift
+        notes = notes + ("template shifted by x -> x + nu, removable by "
+                         "an equivalence translation",)
+    return ClassificationResult(case, out_params, _shift_ops(operators(), shift),
+                                notes + _norm_note(params["delta"]))
+
+
 def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
     """Match (H, F) against the imaged-class rows; returns the kernel case
     T1/0 when no template fits."""
@@ -178,9 +205,7 @@ def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
     asm = eq.assumptions()
     box = {"x": (eq.domain.lo, eq.domain.hi)}
 
-    def kernel(*notes: str) -> ClassificationResult:
-        return ClassificationResult("T1/0", {},
-                                    (tables._dt("v"),), tuple(notes))
+    kernel = partial(_kernel, "T1", "v")
 
     try:
         hfit = _fit_H_family(eq.H, eq.domain, asm)
@@ -190,22 +215,10 @@ def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
 
     def confirmed(row: int, params: dict, shift: float,
                   notes: tuple[str, ...] = ()) -> ClassificationResult | None:
-        H_t = _shifted(tables.imaged_H(row, params), shift)
-        F_t = _shifted(tables.imaged_F(row, params, m), shift)
-        try:
-            if not (num_equal(eq.H, H_t, box, 64, _CONFIRM_TOL)
-                    and num_equal(eq.F, F_t, box, 64, _CONFIRM_TOL)):
-                return None
-        except EvalDomainError:
-            return None
-        ops = _shift_ops(tables.imaged_operators(row, params, m), shift)
-        out_params = dict(params)
-        if shift != 0.0:
-            out_params["nu"] = shift
-            notes = notes + ("template shifted by x -> x + nu, removable by "
-                             "an equivalence translation",)
-        notes = notes + _norm_note(params["delta"])
-        return ClassificationResult(f"T1/{row}", out_params, ops, notes)
+        pairs = ((eq.H, tables.imaged_H(row, params)),
+                 (eq.F, tables.imaged_F(row, params, m)))
+        return _confirmed(f"T1/{row}", pairs, box, params,
+                          lambda: tables.imaged_operators(row, params, m), shift, notes)
 
     if p == 0.0 and k == 0.0:
         # exponential rows 1 / 2: F must be constant
@@ -281,11 +294,7 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
     require_valid(eq)
     asm = eq.assumptions()
     box = {"x": (eq.domain.lo, eq.domain.hi)}
-    xs = _samples(eq.domain)
-
-    def kernel(*notes: str) -> ClassificationResult:
-        return ClassificationResult("T2/0", {},
-                                    (tables._dt("w"),), tuple(notes))
+    kernel = partial(_kernel, "T2", "w")
 
     try:
         hfit = _fit_H_family(eq.H, eq.domain, asm)
@@ -295,30 +304,12 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
 
     def confirmed(row: int, params: dict, shift: float,
                   notes: tuple[str, ...] = ()) -> ClassificationResult | None:
-        H_t = _shifted(tables.double_H(row, params), shift)
-        G_t = _shifted(tables.double_G(row, params), shift)
-        try:
-            if not (num_equal(eq.H, H_t, box, 64, _CONFIRM_TOL)
-                    and num_equal(eq.G, G_t, box, 64, _CONFIRM_TOL)):
-                return None
-        except EvalDomainError:
-            return None
-        ops = _shift_ops(tables.double_operators(row, params), shift)
-        out_params = dict(params)
-        if shift != 0.0:
-            out_params["nu"] = shift
-            notes = notes + ("template shifted by x -> x + nu",)
-        notes = notes + _norm_note(params["delta"])
-        return ClassificationResult(f"T2/{row}", out_params, ops, notes)
+        pairs = ((eq.H, tables.double_H(row, params)),
+                 (eq.G, tables.double_G(row, params)))
+        return _confirmed(f"T2/{row}", pairs, box, params,
+                          lambda: tables.double_operators(row, params), shift, notes)
 
-    def const_fit(e: Expr) -> float | None:
-        vals = _eval_many(e, xs)
-        if vals is None:
-            return None
-        c = sorted(vals)[len(vals) // 2]
-        if max(abs(v - c) for v in vals) > _FIT_TOL * max(1.0, abs(c)):
-            return None
-        return c
+    const_fit = partial(constant_on, domain=eq.domain, tol=_FIT_TOL)
 
     if p == 0.0 and k == 0.0:
         delta_eff = delta * math.exp(q * nu) if nu else delta
@@ -383,7 +374,7 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
 def _double_row3_from_G(eq, delta, box, confirmed):
     """Row 3 with k=0: H is constant, the pole position must be read
     off G'/G = -(k+4)/(x+nu)."""
-    xs = _samples(eq.domain)
+    xs = eq.domain.samples(_FIT_SAMPLES)
     s_expr = simplify(diff(eq.G, "x") / eq.G)
     sv = _eval_many(s_expr, xs)
     if sv is None or any(abs(v) < 1e-12 for v in sv):
@@ -396,11 +387,10 @@ def _double_row3_from_G(eq, delta, box, confirmed):
     k = -slope_inv - 4.0
     if abs(k) < _ZERO_TOL:
         k = 0.0
-    vals = _eval_many(simplify(eq.G * const(delta)
-                               * pow_(X + const(nu), const(k + 4.0))), xs)
-    if vals is None:
+    b2 = constant_on(simplify(eq.G * const(delta) * pow_(X + const(nu), const(k + 4.0))),
+                     eq.domain, _FIT_TOL)
+    if b2 is None:
         return None
-    b2 = sorted(vals)[len(vals) // 2]
     return confirmed(3, {"delta": delta, "k": k, "b2": b2},
                      0.0 if abs(nu) < _ZERO_TOL else nu)
 
@@ -409,21 +399,30 @@ def _double_row3_from_G(eq, delta, box, confirmed):
 
 def _log_linear(e: Expr, domain: Interval, basis: list[Expr]) -> tuple[list[float], float] | None:
     """Fit log|e| = sum c_i basis_i(x); returns coefficients and residual."""
-    xs = _samples(domain)
+    xs = domain.samples(_FIT_SAMPLES)
     ev = _eval_many(e, xs)
     if ev is None or any(v == 0.0 for v in ev):
         return None
-    rows = []
-    for xv in xs:
-        row = []
-        for b in basis:
-            try:
-                row.append(compile_expr(b, ("x",))((xv,)))
-            except EvalDomainError:
-                return None
-        rows.append(row)
+    fns = [compile_expr(b, ("x",)) for b in basis]
+    try:
+        rows = [[f((xv,)) for f in fns] for xv in xs]
+    except EvalDomainError:
+        return None
     coef, res = _lstsq(rows, [math.log(abs(v)) for v in ev])
     return [float(c) for c in coef], res
+
+
+def _fit_scale(e: Expr, domain: Interval, shape: Expr) -> tuple[float, float] | None:
+    """Fit e = delta exp(slope*shape) through log|e| = c + slope*shape at
+    _FIT_TOL; delta = exp(c) with the sign of e at the domain midpoint.
+    Returns (delta, slope), or None when the fit fails."""
+    fit = _log_linear(e, domain, [const(1), shape])
+    if fit is None or fit[1] > _FIT_TOL:
+        return None
+    (c, slope), _ = fit
+    mid = 0.5 * (domain.lo + domain.hi)
+    sgn = 1.0 if compile_expr(e, ("x",))((mid,)) > 0 else -1.0
+    return sgn * math.exp(c), slope
 
 
 def classify_initial(eq: RDEquation) -> ClassificationResult:
@@ -434,35 +433,22 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
     m = eq.m
     box = {"x": (eq.domain.lo, eq.domain.hi)}
     ONE_B = [const(1), X]
-
-    def kernel(*notes: str) -> ClassificationResult:
-        return ClassificationResult("T3/0", {},
-                                    (tables._dt("u"),), tuple(notes))
+    kernel = partial(_kernel, "T3", "u")
 
     def confirmed(case: str, params: dict,
                   notes: tuple[str, ...] = ()) -> ClassificationResult | None:
         f_t, h_t = tables.initial_fh(case, params, m)
-        try:
-            if not (num_equal(eq.f, f_t, box, 64, _CONFIRM_TOL)
-                    and num_equal(eq.h, h_t, box, 64, _CONFIRM_TOL)):
-                return None
-        except EvalDomainError:
-            return None
-        ops = tables.initial_operators(case, params, m)
-        return ClassificationResult(f"T3/{case}", dict(params), ops,
-                                    notes + _norm_note(params["delta"]))
+        return _confirmed(f"T3/{case}", ((eq.f, f_t), (eq.h, h_t)), box, params,
+                          lambda: tables.initial_operators(case, params, m), notes=notes)
 
     # constant f
     fit_f = _log_linear(eq.f, eq.domain, ONE_B)
     if fit_f is not None and fit_f[1] <= _FIT_TOL and abs(fit_f[0][0]) < 1e-10 \
             and abs(fit_f[0][1]) < _ZERO_TOL:
-        fit_h = _log_linear(eq.h, eq.domain, ONE_B)
-        if fit_h is None or fit_h[1] > _FIT_TOL:
+        scale = _fit_scale(eq.h, eq.domain, X)
+        if scale is None:
             return kernel()
-        c, q = fit_h[0]
-        mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-        sgn = 1.0 if compile_expr(eq.h, ("x",))((mid,)) > 0 else -1.0
-        delta = sgn * math.exp(c)
+        delta, q = scale
         if abs(q) < _ZERO_TOL:
             return confirmed("2.1", {"delta": delta}) or kernel()
         notes = () if q == 1.0 else (
@@ -472,13 +458,10 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
     # f = e^x family
     if fit_f is not None and fit_f[1] <= _FIT_TOL and abs(fit_f[0][0]) < 1e-10 \
             and abs(fit_f[0][1] - 1.0) < 1e-10:
-        fit_h = _log_linear(eq.h, eq.domain, ONE_B)
-        if fit_h is None or fit_h[1] > _FIT_TOL:
+        scale = _fit_scale(eq.h, eq.domain, X)
+        if scale is None:
             return kernel()
-        c, r = fit_h[0]
-        mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-        sgn = 1.0 if compile_expr(eq.h, ("x",))((mid,)) > 0 else -1.0
-        delta = sgn * math.exp(c)
+        delta, r = scale
         if abs(r - 1.0) < _ZERO_TOL:
             return confirmed("2.2", {"delta": delta}) or kernel()
         if abs(r - m) < _ZERO_TOL:
@@ -491,28 +474,22 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
     # f = cos^2 x
     if num_equal(eq.f, func("cos", X) ** 2, box, 48, _CONFIRM_TOL):
         ratio = simplify(eq.h / func("abs", func("cos", X)) ** const(m + 1.0))
-        fit_h = _log_linear(ratio, eq.domain, ONE_B)
-        if fit_h is None or fit_h[1] > _FIT_TOL:
+        scale = _fit_scale(ratio, eq.domain, X)
+        if scale is None:
             return kernel()
-        c, q = fit_h[0]
-        mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-        sgn = 1.0 if compile_expr(ratio, ("x",))((mid,)) > 0 else -1.0
-        delta = sgn * math.exp(c)
+        delta, q = scale
         return confirmed("1.2", {"delta": delta, "q": q}) or kernel()
 
     # f = x^lambda
     fit_pow = _log_linear(eq.f, eq.domain, [const(1), ln(X)])
     if fit_pow is not None and fit_pow[1] <= _FIT_TOL and abs(fit_pow[0][0]) < 1e-10:
         lam = fit_pow[0][1]
-        fit_h = _log_linear(eq.h, eq.domain, [const(1), ln(X)])
-        if fit_h is None or fit_h[1] > _FIT_TOL:
+        scale = _fit_scale(eq.h, eq.domain, ln(X))
+        if scale is None:
             return kernel()
-        c, gam = fit_h[0]
+        delta, gam = scale
         if abs(gam) < _ZERO_TOL:
             gam = 0.0
-        mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-        sgn = 1.0 if compile_expr(eq.h, ("x",))((mid,)) > 0 else -1.0
-        delta = sgn * math.exp(c)
         excluded = [(0.0, 0.0), (2.0, m + 1.0)]
         if m == 2.0:
             excluded += [(-6.0, -9.0), (2.0, 3.0), (8.0, 12.0)]
@@ -541,13 +518,10 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
         if not num_equal(eq.f, X * cosln ** 2, box, 48, _CONFIRM_TOL):
             return kernel()
         ratio = simplify(eq.h / func("abs", cosln) ** const(m + 1.0))
-        fit_h = _log_linear(ratio, eq.domain, [const(1), ln(X)])
-        if fit_h is None or fit_h[1] > _FIT_TOL:
+        scale = _fit_scale(ratio, eq.domain, ln(X))
+        if scale is None:
             return kernel()
-        c, l = fit_h[0]
-        mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-        sgn = 1.0 if compile_expr(ratio, ("x",))((mid,)) > 0 else -1.0
-        delta = sgn * math.exp(c)
+        delta, l = scale
         return confirmed("3.2", {"delta": delta, "rho": rho, "l": l}) or kernel()
 
     if c2 >= 0.0:
@@ -562,13 +536,10 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
     w = func("whitM", const(kappa), const(mu), const(beta) * X ** 2)
     ratio = simplify(eq.h / (exp(const(p) * X ** 2)
                              * func("abs", w) ** const(m + 1.0)))
-    fit_h = _log_linear(ratio, eq.domain, [const(1), ln(X)])
-    if fit_h is None or fit_h[1] > _FIT_TOL:
+    scale = _fit_scale(ratio, eq.domain, ln(X))
+    if scale is None:
         return kernel()
-    c, s = fit_h[0]
-    mid = 0.5 * (eq.domain.lo + eq.domain.hi)
-    sgn = 1.0 if compile_expr(ratio, ("x",))((mid,)) > 0 else -1.0
-    delta = sgn * math.exp(c)
+    delta, s = scale
     if abs(mu - 0.25) < 1e-9 and abs(s + (m + 1.0) / 2.0) < 1e-9:
         kappa3 = (5.0 - m) / (4.0 * (1.0 - m))
         if abs(kappa - kappa3) < 1e-9:

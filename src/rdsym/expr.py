@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from . import special
-from .sampling import halton_points
+from .sampling import halton_scaled
 
 
 class ExprError(Exception):
@@ -1135,10 +1135,7 @@ def max_deviation(
     for nm in names:
         if nm not in box:
             raise ExprError(f"num_equal box is missing an interval for {nm!r}")
-    lows = [box[nm][0] for nm in names]
-    spans = [box[nm][1] - box[nm][0] for nm in names]
-    points = (tuple(lo + s * c for lo, s, c in zip(lows, spans, pt))
-              for pt in halton_points(max(len(names), 1), n))
+    points = halton_scaled([box[nm] for nm in names], n)
     return sample_residual([a, neg(b)], names, points).max_rel
 
 

@@ -20,9 +20,10 @@ from .expr import (
     parse,
     to_str,
 )
-from .sampling import halton_points, halton_scaled
+from .sampling import halton_scaled
 
 _NONVANISH_SAMPLES = 64
+_CONSTANT_SAMPLES = 32
 
 
 class ValidationError(Exception):
@@ -50,8 +51,7 @@ class Interval:
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
 
     def samples(self, n: int = _NONVANISH_SAMPLES) -> list[float]:
-        span = self.hi - self.lo
-        return [self.lo + span * p[0] for p in halton_points(1, n)]
+        return [p[0] for p in halton_scaled([(self.lo, self.hi)], n)]
 
     def as_json(self) -> str:
         return f"x:{self.lo}..{self.hi}"
@@ -85,6 +85,23 @@ def sign_on(e: Expr, domain: Interval, name: str = "x") -> int:
         elif s != sign:
             return 0
     return sign
+
+
+def constant_on(e: Expr, domain: Interval, tol: float) -> float | None:
+    """Value of an expression in x that is constant on a domain.
+
+    Returns the median of 32 samples, or None when a sample is undefined
+    or differs from the median by more than tol*max(1, |median|).
+    """
+    fn = compile_expr(e, ("x",))
+    try:
+        vals = sorted(fn((x,)) for x in domain.samples(_CONSTANT_SAMPLES))
+    except EvalDomainError:
+        return None
+    c = vals[len(vals) // 2]
+    if max(abs(v - c) for v in vals) > tol * max(1.0, abs(c)):
+        return None
+    return c
 
 
 def _nonvanishing(e: Expr, domain: Interval, label: str, threshold: float = 0.0) -> list[str]:

@@ -39,7 +39,7 @@ from .model import (
     RDEquation,
     ValidationError,
 )
-from .sampling import halton_points
+from .sampling import halton_scaled
 from .tables import build_double, build_imaged, build_initial, cubic_source_equation
 
 X = var("x")
@@ -140,13 +140,13 @@ def _elliptic_guards(e: Expr) -> list[Expr]:
 
 def _box_assumptions(e: Expr, t_range, x_range):
     """Sign assumptions for abs/sign arguments in (t, x), sampled over the
-    verification box."""
+    verification box; a sign is inferred only when every point evaluates."""
     from .expr import Assumption
 
     out = []
     seen = set()
     stack = [e]
-    pts = halton_points(2, 16)
+    pts = halton_scaled([t_range, x_range], 16)
     while stack:
         n = stack.pop()
         if n.kind == "call" and n.name in ("abs", "sign"):
@@ -154,22 +154,15 @@ def _box_assumptions(e: Expr, t_range, x_range):
             key = to_str(arg)
             if key not in seen and free_variables(arg) <= {"t", "x"}:
                 seen.add(key)
+                fn = compile_expr(arg, ("t", "x"))
                 try:
-                    fn = compile_expr(arg, ("t", "x"))
-                    vals = []
-                    for a, b in pts:
-                        tv = t_range[0] + (t_range[1] - t_range[0]) * a
-                        xv = x_range[0] + (x_range[1] - x_range[0]) * b
-                        try:
-                            vals.append(fn((tv, xv)))
-                        except EvalDomainError:
-                            continue
-                    if vals and all(v > 0 for v in vals):
-                        out.append(Assumption(arg, True))
-                    elif vals and all(v < 0 for v in vals):
-                        out.append(Assumption(arg, False))
+                    vals = [fn(pt) for pt in pts]
                 except EvalDomainError:
-                    pass
+                    vals = []
+                if vals and all(v > 0 for v in vals):
+                    out.append(Assumption(arg, True))
+                elif vals and all(v < 0 for v in vals):
+                    out.append(Assumption(arg, False))
         stack.extend(n.args)
     return tuple(out)
 
@@ -222,15 +215,8 @@ def sample_constants(entry: SolutionEntry, count: int) -> list[dict]:
     names = sorted(entry.constant_ranges)
     if not names:
         return [dict(entry.constants)] * min(count, 1) or [{}]
-    pts = halton_points(len(names), count)
-    out = []
-    for pt in pts:
-        binding = dict(entry.constants)
-        for nm, c in zip(names, pt):
-            lo, hi = entry.constant_ranges[nm]
-            binding[nm] = lo + (hi - lo) * c
-        out.append(binding)
-    return out
+    pts = halton_scaled([entry.constant_ranges[nm] for nm in names], count)
+    return [{**entry.constants, **dict(zip(names, pt))} for pt in pts]
 
 
 def generate(entry: SolutionEntry, chain, target: Equation,

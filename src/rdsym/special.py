@@ -24,11 +24,16 @@ _DS_POLE_GUARD = 1e-9
 
 def kummer_m(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric M(a,b,z) by power series with compensated
-    summation.  Requires b not a nonpositive integer and |z| <= 30."""
+    summation.  Requires b not a nonpositive integer and |z| <= 30.
+    Negative z goes through Kummer's transformation
+    M(a,b,z) = e^z M(b-a,b,-z) (DLMF 13.2.39): the series at -z does not
+    lose its digits to the cancellation of an alternating sum."""
     if b <= 0.0 and b == int(b):
         raise SpecialFunctionError(f"kummer_m pole: b={b} is a nonpositive integer")
     if abs(z) > _KUMMER_Z_LIMIT:
         raise SpecialFunctionError(f"kummer_m argument |z|={abs(z)} exceeds {_KUMMER_Z_LIMIT}")
+    if z < 0.0:
+        return math.exp(z) * kummer_m(b - a, b, -z)
     total = 1.0
     comp = 0.0
     term = 1.0

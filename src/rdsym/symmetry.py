@@ -121,32 +121,40 @@ def _rhs_in_jet(eq: Equation) -> Expr:
     return simplify(e)
 
 
-def _lie_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
-    """Top-level additive terms of Q_(2)(u_t - E) restricted to the
-    equation manifold; their sum is the residual, their magnitudes set
-    the cancellation scale."""
+def _invariance_terms(eq: Equation, Q: VectorField, chain) -> list[Expr]:
+    """Top-level additive terms of Q_(2)(u_t - E) restricted to a
+    manifold; their sum is the residual, their magnitudes set the
+    cancellation scale.  chain(E, asm) gives the substitution dicts that
+    restrict an expression, applied in order."""
     E = _rhs_in_jet(eq)
     asm = eq.assumptions()
-    pr = prolong2(Q, asm)
-    dE = {n: diff(E, n, asm) for n in ("x", "u", "u_x", "u_xx")}
-    # substitute the equation and its differential consequences:
-    # u_t -> E and u_tx -> D_x E (which brings in u_xxx).  The names u_tt
-    # and u_txx occur only with identically vanishing net coefficients in
-    # the characteristic-form prolongation, so they are zeroed first.
-    dxE = simplify(_total_diff(E, "x", asm))
-    zero = const(0)
+    subs = chain(E, asm)
 
     def restrict(e: Expr) -> Expr:
-        e = substitute(e, {"u_tt": zero, "u_txx": zero})
-        e = substitute(e, {"u_tx": dxE})
-        return simplify(substitute(e, {"u_t": E}))
+        for s in subs:
+            e = substitute(e, s)
+        return simplify(e)
 
-    terms = [restrict(pr.eta_t)]
+    pr = prolong2(Q, asm)
     q = pr.base
+    dE = {n: diff(E, n, asm) for n in ("x", "u", "u_x", "u_xx")}
+    terms = [restrict(pr.eta_t)]
     for coeff, d in ((q.xi, dE["x"]), (q.eta, dE["u"]),
                      (pr.eta_x, dE["u_x"]), (pr.eta_xx, dE["u_xx"])):
         terms.append(simplify(-restrict(coeff) * restrict(d)))
     return terms
+
+
+def _lie_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
+    """Invariance terms on the equation manifold: the names u_tt and u_txx
+    occur only with identically vanishing net coefficients in the
+    characteristic-form prolongation, so they are zeroed first; then
+    u_tx -> D_x E (which brings in u_xxx) and u_t -> E."""
+    zero = const(0)
+    return _invariance_terms(eq, Q, lambda E, asm: (
+        {"u_tt": zero, "u_txx": zero},
+        {"u_tx": simplify(_total_diff(E, "x", asm))},
+        {"u_t": E}))
 
 
 def lie_residual(eq: Equation, Q: VectorField, jp: JetPoint) -> float:
@@ -202,34 +210,23 @@ def _conditional_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
     if not tau_is_one:
         raise ValueError("conditional invariance requires tau normalized to 1")
 
-    E = _rhs_in_jet(eq)
-    asm = eq.assumptions()
     u_x = var("u_x")
     W = simplify(q.eta - q.xi * u_x)          # characteristic: u_t = W(t,x,u,u_x)
-
-    # E is affine in u_xx for every class here; solve E = W for u_xx
-    E0 = simplify(substitute(E, {"u_xx": const(0)}))
-    E1 = simplify(diff(E, "u_xx", asm))
-    u_xx_val = simplify((W - E0) / E1)
-
-    # x-derivative of the characteristic, already restricted to the manifold
-    d_char_x = simplify(substitute(_total_diff(W, "x", asm), {"u_xx": u_xx_val}))
     zero = const(0)
 
-    def restrict(e: Expr) -> Expr:
+    def chain(E: Expr, asm) -> tuple[dict, ...]:
+        # E is affine in u_xx for every class here; solve E = W for u_xx
+        E0 = simplify(substitute(E, {"u_xx": zero}))
+        E1 = simplify(diff(E, "u_xx", asm))
+        u_xx_val = simplify((W - E0) / E1)
+        # x-derivative of the characteristic, already restricted to the manifold
+        d_char_x = simplify(substitute(_total_diff(W, "x", asm), {"u_xx": u_xx_val}))
         # u_tt / u_txx / u_xxx carry identically vanishing net coefficients
         # in the characteristic-form prolongation
-        e = substitute(e, {"u_tt": zero, "u_txx": zero, "u_xxx": zero})
-        e = substitute(e, {"u_t": W})
-        e = substitute(e, {"u_tx": d_char_x})
-        return simplify(substitute(e, {"u_xx": u_xx_val}))
+        return ({"u_tt": zero, "u_txx": zero, "u_xxx": zero}, {"u_t": W},
+                {"u_tx": d_char_x}, {"u_xx": u_xx_val})
 
-    pr = prolong2(q, asm)
-    dE = {n: diff(E, n, asm) for n in ("x", "u", "u_x", "u_xx")}
-    terms = [restrict(pr.eta_t)]
-    for coeff, d in ((q.xi, dE["x"]), (q.eta, dE["u"]),
-                     (pr.eta_x, dE["u_x"]), (pr.eta_xx, dE["u_xx"])):
-        terms.append(simplify(-restrict(coeff) * restrict(d)))
+    terms = _invariance_terms(eq, q, chain)
     for t in terms:
         leftover = free_variables(t) - set(_JET4)
         if leftover:

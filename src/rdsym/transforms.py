@@ -41,6 +41,7 @@ from .model import (
     RDEquation,
     VectorField,
     ValidationError,
+    constant_on,
     inferred_assumptions,
     require_valid,
     sign_on,
@@ -770,22 +771,30 @@ def _double_exp_map(p: float, k: float, delta: float, dep: str = "w") -> PointTr
 
 
 def _match_template(actual: Expr, shape: Expr, domain: Interval, what: str) -> float:
-    """Fit the constant c in actual = c * shape by sampling the ratio."""
-    ratio = simplify(actual / shape)
-    fn = compile_expr(ratio, ("x",) if free_variables(ratio) <= {"x"} else ("t", "x"))
-    vals = []
-    for (xv,) in halton_scaled([(domain.lo, domain.hi)], 24):
-        try:
-            vals.append(fn((xv,)) if free_variables(ratio) <= {"x"} else fn((1.0, xv)))
-        except EvalDomainError:
-            continue
-    if not vals:
-        raise ValidationError(f"cannot extract the {what} scale")
-    c = sorted(vals)[len(vals) // 2]
-    spread = max(abs(v - c) for v in vals) / max(1.0, abs(c))
-    if spread > 1e-7:
-        raise ValidationError(f"{what} does not match its target shape (spread {spread:.2e})")
+    """The constant c in actual = c * shape, read off the sampled ratio."""
+    c = constant_on(simplify(actual / shape), domain, 1e-7)
+    if c is None:
+        raise ValidationError(f"{what} is undefined at a sample point or does "
+                              "not match its target shape")
     return c
+
+
+def _multiplier_map(fwd_T: Expr, fwd_X: Expr, inv_t: Expr, inv_x: Expr,
+                    mul: Expr, dep: str = "u") -> PointTransformation:
+    """t~=fwd_T, x~=fwd_X, dep~=mul*dep; inv_t and inv_x give t and x in
+    the new variables, through which the inverse multiplier is written."""
+    u = var(dep)
+    inv_mul = simplify(substitute(const(1) / mul, {"t": inv_t, "x": inv_x}))
+    return PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(mul * u),
+                               simplify(inv_t), simplify(inv_x), simplify(inv_mul * u),
+                               dep=dep, new_dep=dep)
+
+
+def _scaled_drift_map(k: float, sig: float, mul: Expr) -> PointTransformation:
+    """t~=k^2 t, x~=k(x+2 sig t), u~=mul*u."""
+    inv_t = T / const(k ** 2)
+    return _multiplier_map(const(k ** 2) * T, const(k) * (X + const(2 * sig) * T),
+                           inv_t, X / const(k) - const(2 * sig) * inv_t, mul)
 
 
 def apply_additional(eq: Equation, which: str, params: dict | None = None) -> AdditionalMap:
@@ -900,17 +909,9 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         check_source("1.2", {"delta": d, "q": q})
         qt = math.sqrt(q * q + (m - 1.0) ** 2)
         sig = (q - qt) / (1.0 - m)
-        u = var("u")
-        mul = (const(qt ** (2.0 / (1.0 - m)))
-               * exp(const(-sig) * X - const(1 + sig ** 2) * T) * func("cos", X))
-        fwd_T = const(qt ** 2) * T
-        fwd_X = const(qt) * (X + const(2 * sig) * T)
-        inv_t = T / const(qt ** 2)
-        inv_x = X / const(qt) - const(2 * sig) * inv_t
-        inv_mul = simplify(substitute(const(1) / mul, {"t": inv_t, "x": inv_x}))
-        tr = PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(mul * u),
-                                 simplify(inv_t), simplify(inv_x), simplify(inv_mul * u),
-                                 dep="u", new_dep="u")
+        tr = _scaled_drift_map(qt, sig, const(qt ** (2.0 / (1.0 - m)))
+                               * exp(const(-sig) * X - const(1 + sig ** 2) * T)
+                               * func("cos", X))
         tgt_dom = _image_domain(eq.domain, tr)
         target = RDEquation(const(1), const(1),
                             simplify(const(d) * exp(X)), m, tgt_dom, "u")
@@ -927,17 +928,8 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
                                   "use initial:1.3->1.3 instead")
         qt = math.sqrt(disc)
         sig = (q - qt) / (1.0 - m)
-        u = var("u")
-        mul = (const(qt ** (2.0 / (1.0 - m)))
-               * exp(const(0.5 - sig) * X + const(0.25 - sig ** 2) * T))
-        fwd_T = const(qt ** 2) * T
-        fwd_X = const(qt) * (X + const(2 * sig) * T)
-        inv_t = T / const(qt ** 2)
-        inv_x = X / const(qt) - const(2 * sig) * inv_t
-        inv_mul = simplify(substitute(const(1) / mul, {"t": inv_t, "x": inv_x}))
-        tr = PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(mul * u),
-                                 simplify(inv_t), simplify(inv_x), simplify(inv_mul * u),
-                                 dep="u", new_dep="u")
+        tr = _scaled_drift_map(qt, sig, const(qt ** (2.0 / (1.0 - m)))
+                               * exp(const(0.5 - sig) * X + const(0.25 - sig ** 2) * T))
         tgt_dom = _image_domain(eq.domain, tr)
         target = RDEquation(const(1), const(1), simplify(const(d) * exp(X)),
                             m, tgt_dom, "u")
@@ -952,17 +944,8 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
             raise ValidationError("this branch needs 4 alpha^2 < 1; "
                                   "use initial:1.3->1.1 instead")
         nu = math.sqrt(1.0 - 4.0 * a * a)
-        u = var("u")
-        mul = (const(nu ** (2.0 / (1.0 - m)))
-               * exp(const(0.5 - a - nu / 2.0) * X - const(a * nu) * T))
-        fwd_T = const(nu ** 2) * T
-        fwd_X = const(nu) * (X + const(2 * a) * T)
-        inv_t = T / const(nu ** 2)
-        inv_x = X / const(nu) - const(2 * a) * inv_t
-        inv_mul = simplify(substitute(const(1) / mul, {"t": inv_t, "x": inv_x}))
-        tr = PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(mul * u),
-                                 simplify(inv_t), simplify(inv_x), simplify(inv_mul * u),
-                                 dep="u", new_dep="u")
+        tr = _scaled_drift_map(nu, a, const(nu ** (2.0 / (1.0 - m)))
+                               * exp(const(0.5 - a - nu / 2.0) * X - const(a * nu) * T))
         tgt_dom = _image_domain(eq.domain, tr)
         r_t = (m + 1.0) / 2.0
         target = RDEquation(exp(X), exp(X),
@@ -982,16 +965,11 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         kap1 = (s + 3.0) / (2.0 * (1.0 - m))
         lam = 1.0 + 4.0 * mu1
         gam = s + (m + 1.0) * (1.0 + 2.0 * mu1)
-        u = var("u")
         f1 = func("whitM", const(kap1), const(mu1), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(2 * b * (1 + 2 * mu1 - 2 * kap1)) * T)
                * f1 / pow_(X, const(1 + 2 * mu1)))
         base = _imaged_exp_map(b, 0.0, m)   # provides T(t), X(t,x) and inverses
-        inv_mul = simplify(substitute(const(1) / mul,
-                                      {"t": base.inv_T, "x": base.inv_X}))
-        tr = PointTransformation(base.T, base.X, simplify(mul * u),
-                                 base.inv_T, base.inv_X, simplify(inv_mul * u),
-                                 dep="u", new_dep="u")
+        tr = _multiplier_map(base.T, base.X, base.inv_T, base.inv_X, mul)
         tgt_dom = _image_domain(eq.domain, tr)
         f_t = pow_(X, const(lam))
         h_shape = pow_(X, const(gam))
@@ -1006,16 +984,11 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         check_source("6", {"delta": d, "p": p})
         b = beta_of(p, m)
         kap3 = (5.0 - m) / (4.0 * (1.0 - m))
-        u = var("u")
         w = func("whitM", const(kap3), const(0.25), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(4 * b / (m - 1.0)) * T)
                * w / sqrt(func("abs", X)))
         base = _imaged_exp_map(b, 0.0, m)
-        inv_mul = simplify(substitute(const(1) / mul,
-                                      {"t": base.inv_T, "x": base.inv_X}))
-        tr = PointTransformation(base.T, base.X, simplify(mul * u),
-                                 base.inv_T, base.inv_X, simplify(inv_mul * u),
-                                 dep="u", new_dep="u")
+        tr = _multiplier_map(base.T, base.X, base.inv_T, base.inv_X, mul)
         tgt_dom = _image_domain(eq.domain, tr)
         target0 = RDEquation(const(1), const(1), const(1), m, tgt_dom, "u")
         d_t = _extract_scale(eq, tr, target0, const(1))
@@ -1057,15 +1030,10 @@ def tr_imaged_from_initial(tr: PointTransformation, src: RDEquation,
     v = sqrt|f| u, v~ = sqrt|f~| u~."""
     r_src, _, _ = sqrt_resolved(src.f, src.domain)
     r_tgt, _, _ = sqrt_resolved(tgt.f, tgt.domain)
-    u = var("u")
     V1 = simplify(diff(tr.V, "u"))
     # v~ = sqrt|f~|(X) * V1 * u = sqrt|f~|(X) * V1 / sqrt|f|(x) * v
     mul = simplify(substitute(r_tgt, "x", tr.X) * V1 / r_src)
-    v = var("v")
-    inv_mul = simplify(substitute(const(1) / mul, {"t": tr.inv_T, "x": tr.inv_X}))
-    return PointTransformation(tr.T, tr.X, simplify(mul * v),
-                               tr.inv_T, tr.inv_X, simplify(inv_mul * v),
-                               dep="v", new_dep="v")
+    return _multiplier_map(tr.T, tr.X, tr.inv_T, tr.inv_X, mul, "v")
 
 
 # -- push-forwards ---------------------------------------------------------------

@@ -200,6 +200,18 @@ class TestGroupInvariance:
         assert r.case == "T1/3"
         assert abs(r.params.get("nu", 0.0) + 0.7) < 1e-6
 
+    @pytest.mark.parametrize("table,group,build", [
+        ("T1", "imaged", lambda: tables.build_imaged(3, {"delta": 1.0, "k": 1.0, "a2": 0.5}, M)),
+        ("T2", "double", lambda: tables.build_double(3, {"delta": 1.0, "k": 1.0, "b2": 0.5})),
+    ], ids=["T1", "T2"])
+    def test_shift_note_names_the_translation(self, table, group, build):
+        new, _ = apply_equiv(build()[0], EquivParams(delta=(1, 1.0, 0.0, 0.7, 1.0, 0)), group)
+        r = classify(new)
+        assert r.case == f"{table}/3"
+        assert abs(r.params["nu"] + 0.7) < 1e-6
+        assert r.notes == ("template shifted by x -> x + nu, removable by "
+                           "an equivalence translation",)
+
 
 class TestAdmissible:
     def test_drift_only_is_E1(self):

@@ -12,6 +12,7 @@ from rdsym.model import (
     PointTransformation,
     RDEquation,
     VectorField,
+    constant_on,
     equation_from_dict,
     validate,
 )
@@ -67,6 +68,28 @@ class TestInterval:
     def test_samples_inside(self):
         d = Interval(1.0, 2.0)
         assert all(1.0 < x < 2.0 for x in d.samples(32))
+
+
+def _one_sample_undefined() -> str:
+    """2*sqrt(x-x0)/sqrt(x-x0) with x0 between the two smallest samples
+    of DOM, so exactly one sample raises."""
+    xs = sorted(DOM.samples(32))
+    return "2*sqrt(x - {0})/sqrt(x - {0})".format(0.5 * (xs[0] + xs[1]))
+
+
+@pytest.mark.parametrize("text,want", [
+    ("2.5", 2.5),
+    ("(x^2 - 1)/(x + 1) - x", -1.0),
+    ("1 + 1e-6*x", None),                   # not constant at tol 1e-7
+    ("ln(x)", None),
+    pytest.param(_one_sample_undefined(), None, id="one-undefined-sample"),
+])
+def test_constant_on(text, want):
+    c = constant_on(parse(text), DOM, 1e-7)
+    if want is None:
+        assert c is None
+    else:
+        assert c is not None and abs(c - want) <= 1e-12
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from rdsym import solutions as sol
 from rdsym import tables
-from rdsym.expr import const, num_equal, parse, pow_, simplify, var
+from rdsym.expr import Assumption, const, num_equal, parse, pow_, simplify, var
 from rdsym.model import ImagedEquation, Interval, ValidationError
 from rdsym.transforms import apply_additional
 
@@ -169,3 +169,15 @@ def test_skip_budget_counts_domain_errors():
     # x^(-4/3) is undefined on the 7 of 20 grid columns with x < 0
     with pytest.raises(ValidationError, match="skipped"):
         sol.verify_on_grid(entry, grid=sol.GridSpec(x_range=(-1.0, 2.0)))
+
+
+@pytest.mark.parametrize("arg,want", [
+    ("x - 3", False),
+    ("x + t", True),
+    ("x - 1", None),         # changes sign in the box
+    ("sqrt(x - 1)", None),   # positive where defined, undefined for x < 1
+])
+def test_box_assumptions_need_every_point(arg, want):
+    a = parse(arg)
+    asm = sol._box_assumptions(parse(f"abs({arg})"), (0.5, 2.0), (0.5, 2.0))
+    assert asm == (() if want is None else (Assumption(a, want),))

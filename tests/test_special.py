@@ -43,6 +43,16 @@ class TestKummer:
         got = special.kummer_m(a, b, z)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("a,b", [
+        (0.1, 0.5), (1.3, 1.5), (2.0, 2.25), (6.1, 0.5), (8.0, 4.0), (-2.5, 1.5),
+    ])
+    def test_negative_argument_against_mpmath(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        for z in (-30.0, -25.0, -17.3, -9.9, -4.1, -1.0, -0.2, -1e-3):
+            want = float(mpmath.hyp1f1(a, b, z))
+            got = special.kummer_m(a, b, z)
+            assert abs(got - want) <= 1e-10 * max(abs(want), math.exp(z)), (a, b, z)
+
     def test_parameter_pole(self):
         with pytest.raises(special.SpecialFunctionError):
             special.kummer_m(1.0, -2.0, 1.0)

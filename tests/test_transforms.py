@@ -24,6 +24,7 @@ from rdsym.model import (
 )
 from rdsym.transforms import (
     UnsupportedBranch,
+    _match_template,
     antiderivative,
     apply_additional,
     apply_equiv,
@@ -347,6 +348,19 @@ class TestAdditionalMaps:
         assert num_equal(am.target.h, h_t, box, 48, 1e-9)
         assert map_residual_check(eq, am.target, am.transformation,
                                   n=64, box=tbox).passed
+
+    @pytest.mark.parametrize("actual,shape,want", [
+        ("2*ln(x + 1)", "ln(x + 1)", 2.0),
+        ("2*ln(x - 1)", "ln(x - 1)", None),   # undefined at the samples x <= 1
+        ("x^2", "x", None),                   # not a constant multiple
+    ])
+    def test_template_scale(self, actual, shape, want):
+        args = (parse(actual), parse(shape), DOM, "target h scale")
+        if want is None:
+            with pytest.raises(ValidationError, match="target h scale"):
+                _match_template(*args)
+        else:
+            assert abs(_match_template(*args) - want) <= 1e-12
 
     def test_alpha_zero_is_identity(self):
         eq, _ = tables.build_imaged(2, {"delta": 1.0, "q": 0.0}, M)
