@@ -22,7 +22,7 @@ from .model import (
     RDEquation,
     ValidationError,
     VectorField,
-    validate,
+    require_valid,
 )
 
 USAGE_EXIT = 64
@@ -83,22 +83,15 @@ def _add_equation_flags(p, need_class=True):
     p.add_argument("--domain", default="x:0.5..2.5")
 
 
-def _require_valid(eq):
-    problems = validate(eq)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return eq
-
-
 def cmd_classify(args) -> int:
-    eq = _require_valid(_equation(args))
+    eq = require_valid(_equation(args))
     result = _classify_equation(eq)
     _emit(result.as_dict())
     return 0
 
 
 def cmd_map(args) -> int:
-    eq = _require_valid(_equation(args))
+    eq = require_valid(_equation(args))
     if args.to == "gauged":
         if not isinstance(eq, RDEquation):
             raise ValidationError("--to gauged applies to the initial class")
@@ -144,7 +137,7 @@ def cmd_verify(args) -> int:
     tol = float(args.tol)
     n = int(args.samples)
     if args.what in ("lie", "nonclassical"):
-        eq = _require_valid(_equation(args))
+        eq = require_valid(_equation(args))
         if not args.op:
             raise ValidationError("--op 'tau;xi;eta' is required")
         reports = []
@@ -159,7 +152,7 @@ def cmd_verify(args) -> int:
                "reports": [r.as_dict() for r in reports]})
         return 0 if all(r.passed for r in reports) else FAIL_EXIT
     if args.what == "algebra":
-        eq = _require_valid(_equation(args))
+        eq = require_valid(_equation(args))
         if not args.op or len(args.op) < 1:
             raise ValidationError("at least one --op is required")
         basis = [_operator(spec, eq.dep) for spec in args.op]
@@ -167,7 +160,7 @@ def cmd_verify(args) -> int:
         _emit(rep)
         return 0 if rep["closed"] else FAIL_EXIT
     if args.what == "solution":
-        eq = _require_valid(_equation(args))
+        eq = require_valid(_equation(args))
         if args.solution is None:
             raise ValidationError("--solution is required")
         nt, _, nx = (args.grid or "20x20").partition("x")

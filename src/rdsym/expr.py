@@ -425,7 +425,7 @@ def _assumed_sign(e: Expr, table: dict[Expr, int]) -> int | None:
     if e in table:
         return table[e]
     # even powers and abs are positive wherever nonzero
-    if e.kind == "abs" or (e.kind == "call" and e.name == "abs"):
+    if e.kind == "call" and e.name == "abs":
         return 1
     if e.kind == "pow" and e.args[1].kind == "const":
         p = e.args[1].value

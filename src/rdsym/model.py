@@ -104,7 +104,7 @@ def constant_on(e: Expr, domain: Interval, tol: float) -> float | None:
     return c
 
 
-def _nonvanishing(e: Expr, domain: Interval, label: str, threshold: float = 0.0) -> list[str]:
+def _nonvanishing(e: Expr, domain: Interval, label: str) -> list[str]:
     if sign_on(e, domain) == 0:
         return [f"{label} vanishes, changes sign or is undefined on {domain.as_json()}"]
     return []

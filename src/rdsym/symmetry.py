@@ -77,7 +77,7 @@ class VerificationReport:
         }
 
 
-def _total_diff(e: Expr, wrt: str, asm=()) -> Expr:
+def total_derivative(e: Expr, wrt: str, asm=()) -> Expr:
     """Total derivative on the jet space spanned by t, x, u, u_t, u_x,
     u_tt, u_tx, u_xx, u_txx, u_xxx (as far as second-order use needs)."""
     ladder = {
@@ -92,11 +92,6 @@ def _total_diff(e: Expr, wrt: str, asm=()) -> Expr:
     return simplify(out)
 
 
-def total_derivative(e: Expr, wrt: str, assumptions=()) -> Expr:
-    """Public total-derivative operator on second-order jet coordinates."""
-    return _total_diff(e, wrt, assumptions)
-
-
 def prolong2(Q: VectorField, assumptions=()) -> ProlongedField:
     """Standard second prolongation via the characteristic recursion
     eta^J = D_J(eta - tau u_t - xi u_x) + tau u_{Jt} + xi u_{Jx}."""
@@ -104,9 +99,9 @@ def prolong2(Q: VectorField, assumptions=()) -> ProlongedField:
     asm = tuple(assumptions)
     u_t, u_x, u_xx, u_tx = var("u_t"), var("u_x"), var("u_xx"), var("u_tx")
     char = q.eta - q.tau * u_t - q.xi * u_x
-    eta_t = simplify(_total_diff(char, "t", asm) + q.tau * var("u_tt") + q.xi * u_tx)
-    eta_x = simplify(_total_diff(char, "x", asm) + q.tau * u_tx + q.xi * u_xx)
-    eta_xx = simplify(_total_diff(_total_diff(char, "x", asm), "x", asm)
+    eta_t = simplify(total_derivative(char, "t", asm) + q.tau * var("u_tt") + q.xi * u_tx)
+    eta_x = simplify(total_derivative(char, "x", asm) + q.tau * u_tx + q.xi * u_xx)
+    eta_xx = simplify(total_derivative(total_derivative(char, "x", asm), "x", asm)
                       + q.tau * var("u_txx") + q.xi * var("u_xxx"))
     return ProlongedField(q, eta_t, eta_x, eta_xx)
 
@@ -153,7 +148,7 @@ def _lie_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
     zero = const(0)
     return _invariance_terms(eq, Q, lambda E, asm: (
         {"u_tt": zero, "u_txx": zero},
-        {"u_tx": simplify(_total_diff(E, "x", asm))},
+        {"u_tx": simplify(total_derivative(E, "x", asm))},
         {"u_t": E}))
 
 
@@ -220,7 +215,7 @@ def _conditional_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
         E1 = simplify(diff(E, "u_xx", asm))
         u_xx_val = simplify((W - E0) / E1)
         # x-derivative of the characteristic, already restricted to the manifold
-        d_char_x = simplify(substitute(_total_diff(W, "x", asm), {"u_xx": u_xx_val}))
+        d_char_x = simplify(substitute(total_derivative(W, "x", asm), {"u_xx": u_xx_val}))
         # u_tt / u_txx / u_xxx carry identically vanishing net coefficients
         # in the characteristic-form prolongation
         return ({"u_tt": zero, "u_txx": zero, "u_xxx": zero}, {"u_t": W},

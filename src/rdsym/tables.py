@@ -129,7 +129,7 @@ def t1_constraint_violations(row: int, params: dict, m: float) -> list[str]:
             out.append("a1 = -alpha^2 belongs to row 2")
         if params["q"] == 0.0 and params["a1"] == 0.0:
             out.append("q=a1=0 belongs to row 2 with q=0")
-    if row in (3, 4) and row == 3 and params["k"] ** 2 + params["a2"] ** 2 == 0.0:
+    if row == 3 and params["k"] ** 2 + params["a2"] ** 2 == 0.0:
         out.append("k=a2=0 degenerates to row 2 with q=0")
     if row in (4, 5, 6) and params["p"] == 0.0:
         out.append("p=0 degenerates the exponential-square template")

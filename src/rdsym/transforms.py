@@ -151,7 +151,6 @@ def invert_monotone(phi: Expr) -> Expr | None:
             a, b = core.args
             if a.kind == "const":
                 scale *= a.value
-                shift_stays = shift
                 core, changed = b, True
             elif b.kind == "const":
                 scale *= b.value
@@ -184,26 +183,64 @@ def invert_monotone(phi: Expr) -> Expr | None:
     return None
 
 
+def _hermite(xs: list, ys: list, ds: list, cs: list) -> Expr:
+    """Quintic-Hermite table of x -> y through values ys, slopes ds and
+    second derivatives cs at the knots xs."""
+    grid, coeffs = special.hermite_table(xs, ys, ds, cs)
+    return Expr("interp", args=(X,), data=(grid, coeffs, 0))
+
+
+def _hermite_inverse(xs: list, ys: list, ds: list, cs: list) -> Expr:
+    """Table of the inverse y -> x of a monotone map with values ys, slopes
+    ds and second derivatives cs at the knots xs: x' = 1/y', x'' = -y''/y'^3."""
+    if all(b < a for a, b in zip(ys, ys[1:])):
+        xs, ys, ds, cs = xs[::-1], ys[::-1], ds[::-1], cs[::-1]
+    elif not all(b > a for a, b in zip(ys, ys[1:])):
+        raise ValidationError("coordinate map is not monotone on the domain")
+    return _hermite(ys, xs, [1.0 / d for d in ds], [-c / d ** 3 for c, d in zip(cs, ds)])
+
+
 def _tabulated_inverse(phi: Expr, lo: float, hi: float, knots: int = 129) -> Expr:
-    """Quintic-Hermite table for the inverse of a monotone expression map
-    x -> phi(x) on [lo, hi], with exact derivative data at the knots."""
+    """Inverse table of a monotone expression map x -> phi(x) on [lo, hi],
+    with exact derivative data at the knots."""
     f0 = compile_expr(phi, ("x",))
     f1 = compile_expr(diff(phi, "x"), ("x",))
     f2 = compile_expr(diff(diff(phi, "x"), "x"), ("x",))
     xs = [lo + (hi - lo) * i / (knots - 1) for i in range(knots)]
-    ys = [f0((v,)) for v in xs]
-    ds = [f1((v,)) for v in xs]
-    cs = [f2((v,)) for v in xs]
-    if all(b > a for a, b in zip(ys, ys[1:])):
-        pass
-    elif all(b < a for a, b in zip(ys, ys[1:])):
-        xs, ys, ds, cs = xs[::-1], ys[::-1], ds[::-1], cs[::-1]
-    else:
-        raise ValidationError("coordinate map is not monotone on the domain")
-    inv_d = [1.0 / d for d in ds]
-    inv_c = [-c / d ** 3 for c, d in zip(cs, ds)]
-    grid, coeffs = special.hermite_table(ys, xs, inv_d, inv_c)
-    return Expr("interp", args=(X,), data=(grid, coeffs, 0))
+    return _hermite_inverse(xs, [f0((v,)) for v in xs], [f1((v,)) for v in xs],
+                            [f2((v,)) for v in xs])
+
+
+# -- point maps ------------------------------------------------------------------
+
+def _point_map(fwd_T: Expr, fwd_X: Expr, inv_t: Expr, inv_x: Expr, mul: Expr,
+               shift: Expr | None = None, dep: str = "u", new_dep: str | None = None,
+               law: str = "") -> PointTransformation:
+    """t~ = fwd_T, x~ = fwd_X, dep~ = mul*dep (+ shift).  inv_t and inv_x
+    give t and x in the new variables; the inverse
+    dep = (dep~ - shift)/mul is derived by composing mul and shift with them."""
+    new_dep = new_dep or dep
+    back = {"t": inv_t, "x": inv_x}
+    V, old = mul * var(dep), var(new_dep)
+    if shift is not None:
+        V, old = V + shift, old - substitute(shift, back)
+    return PointTransformation(fwd_T, fwd_X, simplify(V),
+                               inv_t, inv_x, simplify(old / substitute(mul, back)),
+                               dep=dep, new_dep=new_dep, law=law)
+
+
+def _drift_coords(a: float) -> tuple[Expr, Expr, Expr, Expr]:
+    """t~ = t, x~ = x + 2at, and the inverse t = t~, x = x~ - 2at~."""
+    return T, simplify(X + const(2 * a) * T), T, simplify(X - const(2 * a) * T)
+
+
+def _exp_coords(beta: float) -> tuple[Expr, Expr, Expr, Expr]:
+    """t~ = -e^(-4 beta t)/(4 beta), x~ = e^(-2 beta t) x, and the inverse
+    t = -ln(-4 beta t~)/(4 beta), x = x~/sqrt(-4 beta t~)."""
+    return (simplify(const(-1.0 / (4 * beta)) * exp(const(-4 * beta) * T)),
+            simplify(exp(const(-2 * beta) * T) * X),
+            simplify(const(-1.0 / (4 * beta)) * ln(const(-4 * beta) * T)),
+            simplify(X / (const(-4 * beta) * T) ** 0.5))
 
 
 # -- the mapping chain ---------------------------------------------------------
@@ -221,9 +258,7 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
     if sf == 0 or sg == 0:
         raise ValidationError("f and g must be sign-constant on the domain")
     if eq.f == eq.g:
-        ident = PointTransformation(T, X, var(eq.dep), T, X, var(eq.dep),
-                                    dep=eq.dep, new_dep=eq.dep, law="identity (f=g already)")
-        return eq, ident
+        return eq, _point_map(T, X, T, X, const(1), dep=eq.dep, law="identity (f=g already)")
     s_fg = sf * sg
 
     ratio = simplify(const(sf) * eq.f / (const(sg) * eq.g))   # |f/g|
@@ -251,11 +286,8 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
         ys = [x0 + c - off for c in cum]
         ds = [fn((v,)) for v in xs]
         cs = [dfn((v,)) for v in xs]
-        fx, fc = special.hermite_table(xs, ys, ds, cs)
-        phi = Expr("interp", args=(X,), data=(fx, fc, 0))
-        ix, ic = special.hermite_table(ys, xs, [1.0 / d for d in ds],
-                                       [-c / d ** 3 for c, d in zip(cs, ds)])
-        inv = Expr("interp", args=(X,), data=(ix, ic, 0))
+        phi = _hermite(xs, ys, ds, cs)
+        inv = _hermite_inverse(xs, ys, ds, cs)
 
     sqrt_fg = simplify(sqrt(simplify(const(sf) * eq.f * const(sg) * eq.g)))
     new_f = simplify(const(sg) * substitute(sqrt_fg, "x", inv))
@@ -267,12 +299,8 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
     new_domain = Interval(min(a, b), max(a, b))
     new_eq = RDEquation(new_f, new_f, new_h, eq.m, new_domain, eq.dep)
 
-    tr = PointTransformation(
-        const(s_fg) * T, phi, var(eq.dep),
-        const(s_fg) * T, inv, var(eq.dep),
-        dep=eq.dep, new_dep=eq.dep,
-        law="f'=g'=sign(g)|fg|^(1/2), h'=sqrt|g/f| h",
-    )
+    tr = _point_map(const(s_fg) * T, phi, const(s_fg) * T, inv, const(1), dep=eq.dep,
+                    law="f'=g'=sign(g)|fg|^(1/2), h'=sqrt|g/f| h")
     return new_eq, tr
 
 
@@ -298,12 +326,8 @@ def to_imaged(eq: RDEquation) -> tuple[ImagedEquation, PointTransformation]:
     F = simplify(-diff(diff(r, "x", asm), "x", asm) / r, asm)
     H = simplify(eq.h * const(s) / pow_(r, const(eq.m + 1.0)), asm)
     img = ImagedEquation(F, H, eq.m, eq.domain)
-    tr = PointTransformation(
-        T, X, simplify(r * var(eq.dep)),
-        T, X, simplify(var("v") / r),
-        dep=eq.dep, new_dep="v",
-        law="F=-(sqrt|f|)_xx/sqrt|f|, H=h sign(f)/(sqrt|f|)^(m+1)",
-    )
+    tr = _point_map(T, X, T, X, r, dep=eq.dep, new_dep="v",
+                    law="F=-(sqrt|f|)_xx/sqrt|f|, H=h sign(f)/(sqrt|f|)^(m+1)")
     return img, tr
 
 
@@ -317,12 +341,8 @@ def to_double_imaged(eq: ImagedEquation) -> tuple[DoubleImagedEquation, PointTra
     shift = simplify(eq.F / (const(2) * eq.H))
     G = simplify(-diff(diff(shift, "x", asm), "x", asm) - eq.F ** 2 / (const(4) * eq.H))
     dbl = DoubleImagedEquation(eq.H, G, eq.domain)
-    tr = PointTransformation(
-        T, X, simplify(var(eq.dep) + shift),
-        T, X, simplify(var("w") - shift),
-        dep=eq.dep, new_dep="w",
-        law="G=-(F/(2H))_xx - F^2/(4H)",
-    )
+    tr = _point_map(T, X, T, X, const(1), shift, dep=eq.dep, new_dep="w",
+                    law="G=-(F/(2H))_xx - F^2/(4H)")
     return dbl, tr
 
 
@@ -456,20 +476,12 @@ def chi_for_m2(g: Expr, h: Expr, psi: Expr) -> Expr:
     return simplify(-psi ** 2 / (const(2) * h) * inner)
 
 
-def _affine_map(d1: float, d2: float, d3: float, dep: str, new_dep: str,
-                vmul: Expr, vshift: Expr | None = None) -> PointTransformation:
-    """t~ = d1^2 t + d2, x~ = d1 x + d3, u~ = vmul*u (+ vshift)."""
-    u = var(dep)
-    V = simplify(vmul * u + (vshift if vshift is not None else const(0)))
-    inv_x = simplify((X - const(d3)) / const(d1))
-    ivmul = simplify(substitute(const(1) / vmul, "x", inv_x))
-    ivshift = const(0) if vshift is None else simplify(-substitute(vshift, "x", inv_x))
-    inv_V = simplify(ivmul * (var(new_dep) + ivshift))
-    return PointTransformation(
-        const(d1 ** 2) * T + const(d2), const(d1) * X + const(d3), V,
-        simplify((T - const(d2)) / const(d1 ** 2)), inv_x, inv_V,
-        dep=dep, new_dep=new_dep,
-    )
+def _affine_map(d1: float, d2: float, d3: float, dep: str, mul: Expr,
+                shift: Expr | None = None) -> PointTransformation:
+    """t~ = d1^2 t + d2, x~ = d1 x + d3, u~ = mul*u (+ shift)."""
+    return _point_map(const(d1 ** 2) * T + const(d2), const(d1) * X + const(d3),
+                      simplify((T - const(d2)) / const(d1 ** 2)),
+                      simplify((X - const(d3)) / const(d1)), mul, shift, dep)
 
 
 def _compose_inverse(e: Expr, inv_x: Expr) -> Expr:
@@ -509,36 +521,29 @@ def apply_equiv(eq: Equation, params, group: str):
             new_f = _compose_inverse(simplify(const(d(0) * d(1)) / (const(d(3)) * phix) * eq.f), inv_x)
             new_g = _compose_inverse(simplify(const(d(0)) * phix / const(d(3)) * eq.g), inv_x)
             new_h = _compose_inverse(simplify(const(d(0)) / (const(d(3)) ** const(eq.m) * phix) * eq.h), inv_x)
-            vmul: Expr = const(d(3))
-            vshift = None
+            mul: Expr = const(d(3))
+            shift = None
         else:
             psi = params.psi if params.psi is not None else const(1)
             if group == "general-extended":
                 _check_psi_second_order(eq.g, psi, eq.domain)
                 new_h = _compose_inverse(
                     simplify(const(d(0)) / (phix * psi ** const(eq.m + 1.0)) * eq.h), inv_x)
-                vshift = None
+                shift = None
             else:
                 if eq.m != 2.0:
                     raise ValidationError("the m=2 group applies only to m=2 equations")
                 _check_psi_fourth_order(eq.g, eq.h, psi, eq.domain)
                 new_h = _compose_inverse(simplify(const(d(0)) / (phix * psi ** 3) * eq.h), inv_x)
-                vshift = params.chi if params.chi is not None else chi_for_m2(eq.g, eq.h, psi)
+                shift = params.chi if params.chi is not None else chi_for_m2(eq.g, eq.h, psi)
             new_f = _compose_inverse(simplify(const(d(0) * d(1)) / (phix * psi ** 2) * eq.f), inv_x)
             new_g = _compose_inverse(simplify(const(d(0)) * phix / psi ** 2 * eq.g), inv_x)
-            vmul = psi
+            mul = psi
         fphi = compile_expr(phi, ("x",))
         a, b = fphi((eq.domain.lo,)), fphi((eq.domain.hi,))
         new_dom = Interval(min(a, b), max(a, b))
-        V = simplify(vmul * var(eq.dep) + (vshift if vshift is not None else const(0)))
-        inv_V = simplify(_compose_inverse(const(1) / vmul, inv_x)
-                         * (var(eq.dep) - (_compose_inverse(vshift, inv_x)
-                                           if vshift is not None else const(0))))
-        tr = PointTransformation(
-            const(d(1)) * T + const(d(2)), phi, V,
-            simplify((T - const(d(2))) / const(d(1))), inv_x, inv_V,
-            dep=eq.dep, new_dep=eq.dep,
-        )
+        tr = _point_map(const(d(1)) * T + const(d(2)), phi,
+                        simplify((T - const(d(2))) / const(d(1))), inv_x, mul, shift, eq.dep)
         return RDEquation(new_f, new_g, new_h, eq.m, new_dom, eq.dep), tr
 
     if group in ("gauged", "gauged-m2"):
@@ -555,10 +560,9 @@ def apply_equiv(eq: Equation, params, group: str):
             _check_psi_fourth_order(eq.f, eq.h, psi, eq.domain)
             chi = params.chi if params.chi is not None else chi_for_m2(eq.f, eq.h, psi)
             new_h_pre = simplify(const(d(0)) / (const(d1) * psi ** 3) * eq.h)
-        inv_x = simplify((X - const(d3)) / const(d1))
-        new_f = _compose_inverse(simplify(const(d(0) * d1) / psi ** 2 * eq.f), inv_x)
-        new_h = _compose_inverse(new_h_pre, inv_x)
-        tr = _affine_map(d1, d2, d3, eq.dep, eq.dep, psi, chi)
+        tr = _affine_map(d1, d2, d3, eq.dep, psi, chi)
+        new_f = _compose_inverse(simplify(const(d(0) * d1) / psi ** 2 * eq.f), tr.inv_X)
+        new_h = _compose_inverse(new_h_pre, tr.inv_X)
         return (RDEquation(new_f, new_f, new_h, eq.m,
                            _affine_domain(eq.domain, d1, d3), eq.dep), tr)
 
@@ -567,11 +571,10 @@ def apply_equiv(eq: Equation, params, group: str):
         d1, d2, d3, d4 = d(1), d(2), d(3), d(4)
         if d1 * d4 == 0.0:
             raise ValidationError("delta1*delta4 must be nonzero")
-        inv_x = simplify((X - const(d3)) / const(d1))
-        new_F = _compose_inverse(simplify(eq.F / const(d1 ** 2)), inv_x)
+        tr = _affine_map(d1, d2, d3, eq.dep, const(d4))
+        new_F = _compose_inverse(simplify(eq.F / const(d1 ** 2)), tr.inv_X)
         new_H = _compose_inverse(
-            simplify(eq.H / (const(d1 ** 2) * const(d4) ** const(eq.m - 1.0))), inv_x)
-        tr = _affine_map(d1, d2, d3, eq.dep, eq.dep, const(d4))
+            simplify(eq.H / (const(d1 ** 2) * const(d4) ** const(eq.m - 1.0))), tr.inv_X)
         return (ImagedEquation(new_F, new_H, eq.m,
                                _affine_domain(eq.domain, d1, d3), eq.dep), tr)
 
@@ -585,12 +588,11 @@ def apply_equiv(eq: Equation, params, group: str):
         if res > _ODE_TOL:
             raise ValidationError(f"chi does not solve chi_xx = H chi^2/delta4 - F chi "
                                   f"(residual {res:.2e})")
-        inv_x = simplify((X - const(d3)) / const(d1))
+        tr = _affine_map(d1, d2, d3, eq.dep, const(d4), chi)
         new_F = _compose_inverse(
             simplify(eq.F / const(d1 ** 2)
-                     - const(2) * eq.H * chi / const(d1 ** 2 * d4)), inv_x)
-        new_H = _compose_inverse(simplify(eq.H / const(d1 ** 2 * d4)), inv_x)
-        tr = _affine_map(d1, d2, d3, eq.dep, eq.dep, const(d4), chi)
+                     - const(2) * eq.H * chi / const(d1 ** 2 * d4)), tr.inv_X)
+        new_H = _compose_inverse(simplify(eq.H / const(d1 ** 2 * d4)), tr.inv_X)
         return (ImagedEquation(new_F, new_H, 2.0,
                                _affine_domain(eq.domain, d1, d3), eq.dep), tr)
 
@@ -599,63 +601,61 @@ def apply_equiv(eq: Equation, params, group: str):
     d1, d2, d3, d4 = d(1), d(2), d(3), d(4)
     if d1 * d4 == 0.0:
         raise ValidationError("delta1*delta4 must be nonzero")
-    inv_x = simplify((X - const(d3)) / const(d1))
-    new_G = _compose_inverse(simplify(const(d4) * eq.G / const(d1 ** 2)), inv_x)
-    new_H = _compose_inverse(simplify(eq.H / const(d1 ** 2 * d4)), inv_x)
-    tr = _affine_map(d1, d2, d3, eq.dep, eq.dep, const(d4))
+    tr = _affine_map(d1, d2, d3, eq.dep, const(d4))
+    new_G = _compose_inverse(simplify(const(d4) * eq.G / const(d1 ** 2)), tr.inv_X)
+    new_H = _compose_inverse(simplify(eq.H / const(d1 ** 2 * d4)), tr.inv_X)
     return (DoubleImagedEquation(new_H, new_G,
                                  _affine_domain(eq.domain, d1, d3), eq.dep), tr)
 
 
 # -- generic change-of-variables laws for the imaged classes -------------------
 
-def _projectable_parts(tr: PointTransformation):
-    """T(t), X(t,x), V = V1(t,x)*dep + V0(t,x); errors when V is not
+def _projectable_parts(tr: PointTransformation, coeffs: tuple[Expr, ...], domain: Interval):
+    """For t~=T(t), x~=X(t,x), dep~ = V1(t,x)*dep + V0(t,x): V1, V0, T_t,
+    the operator L W = (W_t X_x - W_x X_t - W_xx X_x)/(T_t X_x), and the
+    composition of an element with the inverse map.  Errors when V is not
     affine in the dependent variable."""
     dep = tr.dep
     V1 = simplify(diff(tr.V, dep))
     if dep in free_variables(V1):
         raise ValidationError("transformation must be affine in the dependent variable")
     V0 = simplify(substitute(tr.V, dep, const(0.0)))
-    return tr.T, tr.X, V1, V0
+    asm = inferred_assumptions((V1, V0) + coeffs, domain)
+    T_t = simplify(diff(tr.T, "t", asm))
+    X_x = simplify(diff(tr.X, "x", asm))
+    X_t = simplify(diff(tr.X, "t", asm))
+
+    def L(W: Expr) -> Expr:
+        return simplify((diff(W, "t", asm) * X_x - diff(W, "x", asm) * X_t
+                         - diff(diff(W, "x", asm), "x", asm) * X_x) / (T_t * X_x))
+
+    def back(e: Expr) -> Expr:
+        return simplify(substitute(e, {"t": tr.inv_T, "x": tr.inv_X}))
+
+    return V1, V0, T_t, L, back
 
 
 def imaged_image_elements(eq: ImagedEquation, tr: PointTransformation) -> tuple[Expr, Expr]:
     """New (F, H) of the imaged class under t~=T(t), x~=X(t,x), v~=V1 v:
-    H~ = V1^(1-m) H / T_t,  F~ = F/T_t + (V1_t X_x - V1_x X_t - V1_xx X_x)
-    / (T_t X_x V1), composed with the inverse map."""
-    Tc, Xc, V1, V0 = _projectable_parts(tr)
-    if V0 != const(0.0) and eq.m != 2.0:
-        raise ValidationError("shifts of v are only admissible for m=2")
-    asm = inferred_assumptions((V1, eq.F, eq.H), eq.domain)
-    T_t = simplify(diff(Tc, "t", asm))
-    X_x = simplify(diff(Xc, "x", asm))
-    X_t = simplify(diff(Xc, "t", asm))
+    H~ = V1^(1-m) H / T_t,  F~ = F/T_t + L V1 / V1, composed with the
+    inverse map."""
+    V1, V0, T_t, L, back = _projectable_parts(tr, (eq.F, eq.H), eq.domain)
+    if V0 != const(0.0):
+        raise ValidationError("this law takes v~ = V1 v; a shift of v (m=2) acts "
+                              "through the imaged-m2 group of apply_equiv")
     H_new = simplify(V1 ** const(1.0 - eq.m) / T_t * eq.H)
-    corr = simplify((diff(V1, "t", asm) * X_x - diff(V1, "x", asm) * X_t
-                     - diff(diff(V1, "x", asm), "x", asm) * X_x) / (T_t * X_x * V1))
-    F_new = simplify(eq.F / T_t + corr)
-    inv = {"t": tr.inv_T, "x": tr.inv_X}
-    return (simplify(substitute(F_new, inv)), simplify(substitute(H_new, inv)))
+    F_new = simplify(eq.F / T_t + L(V1) / V1)
+    return back(F_new), back(H_new)
 
 
 def double_image_elements(eq: DoubleImagedEquation,
                           tr: PointTransformation) -> tuple[Expr, Expr]:
-    """New (H, G) of the double-imaged class under t~=T, x~=X, w~=V1 w+V0."""
-    Tc, Xc, V1, V0 = _projectable_parts(tr)
-    asm = inferred_assumptions((V1, V0, eq.G, eq.H), eq.domain)
-    T_t = simplify(diff(Tc, "t", asm))
-    X_x = simplify(diff(Xc, "x", asm))
-    X_t = simplify(diff(Xc, "t", asm))
+    """New (H, G) of the double-imaged class under t~=T, x~=X, w~=V1 w+V0:
+    H~ = H/(V1 T_t),  G~ = V1 G/T_t + L V0 - H~ V0^2."""
+    V1, V0, T_t, L, back = _projectable_parts(tr, (eq.G, eq.H), eq.domain)
     H_new = simplify(eq.H / (V1 * T_t))
-
-    def lin_part(W: Expr) -> Expr:
-        return simplify((diff(W, "t", asm) * X_x - diff(W, "x", asm) * X_t
-                         - diff(diff(W, "x", asm), "x", asm) * X_x) / (T_t * X_x))
-
-    G_new = simplify(V1 * eq.G / T_t + lin_part(V0) - H_new * V0 ** 2)
-    inv = {"t": tr.inv_T, "x": tr.inv_X}
-    return (simplify(substitute(H_new, inv)), simplify(substitute(G_new, inv)))
+    G_new = simplify(V1 * eq.G / T_t + L(V0) - H_new * V0 ** 2)
+    return back(H_new), back(G_new)
 
 
 _T_REF_CANDIDATES = (1.0, 0.4, 2.0, -0.05, -0.4, -1.3, -2.6)
@@ -709,65 +709,29 @@ class AdditionalMap:
     target_params: dict
 
 
-def _imaged_drift_map(alpha: float, dep: str = "v") -> PointTransformation:
+def _imaged_drift_map(alpha: float) -> PointTransformation:
     """t~=t, x~=x+2 alpha t, v~=e^(-alpha x) v."""
-    v = var(dep)
-    fwd_V = exp(const(-alpha) * X) * v
-    inv_x = X - const(2 * alpha) * T
-    inv_V = exp(const(alpha) * (X - const(2 * alpha) * T)) * v
-    return PointTransformation(T, X + const(2 * alpha) * T, simplify(fwd_V),
-                               T, simplify(inv_x), simplify(inv_V),
-                               dep=dep, new_dep=dep)
+    return _point_map(*_drift_coords(alpha), exp(const(-alpha) * X), dep="v")
 
 
-def _imaged_exp_map(beta: float, k: float, m: float, dep: str = "v") -> PointTransformation:
+def _imaged_exp_map(beta: float, k: float, m: float) -> PointTransformation:
     """t~=-e^(-4 beta t)/(4 beta), x~=e^(-2 beta t) x,
     v~=exp(beta x^2/2 + 2 beta (k+2) t/(m-1)) v."""
-    v = var(dep)
     c = 2.0 * beta * (k + 2.0) / (m - 1.0)
-    fwd_T = const(-1.0 / (4 * beta)) * exp(const(-4 * beta) * T)
-    fwd_X = exp(const(-2 * beta) * T) * X
-    fwd_V = exp(const(beta / 2) * X ** 2 + const(c) * T) * v
-    # inverse: e^(-4 beta t) = -4 beta t~,  t = -ln(-4 beta t~)/(4 beta)
-    inv_t = const(-1.0 / (4 * beta)) * ln(const(-4 * beta) * T)
-    mu_inv = (const(-4 * beta) * T) ** 0.5          # e^(-2 beta t) in new vars
-    inv_x = X / mu_inv
-    inv_V = exp(-(const(beta / 2) * (X / mu_inv) ** 2 + const(c) * inv_t)) * v
-    return PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(fwd_V),
-                               simplify(inv_t), simplify(inv_x), simplify(inv_V),
-                               dep=dep, new_dep=dep)
+    return _point_map(*_exp_coords(beta), exp(const(beta / 2) * X ** 2 + const(c) * T), dep="v")
 
 
-def _double_drift_map(q: float, delta: float, dep: str = "w") -> PointTransformation:
+def _double_drift_map(q: float, delta: float) -> PointTransformation:
     """t~=t, x~=x-2qt, w~=e^(qx) w + q^2/(2 delta)."""
-    w = var(dep)
-    c = q * q / (2.0 * delta)
-    fwd_V = exp(const(q) * X) * w + const(c)
-    inv_x = X + const(2 * q) * T
-    inv_V = exp(const(-q) * (X + const(2 * q) * T)) * (w - const(c))
-    return PointTransformation(T, X - const(2 * q) * T, simplify(fwd_V),
-                               T, simplify(inv_x), simplify(inv_V),
-                               dep=dep, new_dep=dep)
+    return _point_map(*_drift_coords(-q), exp(const(q) * X), const(q * q / (2.0 * delta)), "w")
 
 
-def _double_exp_map(p: float, k: float, delta: float, dep: str = "w") -> PointTransformation:
+def _double_exp_map(p: float, k: float, delta: float) -> PointTransformation:
     """t~=-e^(-8pt)/(8p), x~=e^(-4pt) x,
     w~=e^(4p(k+2)t) (e^(p x^2) w + p(2 p x^2 + 2k + 3)/(delta x^k))."""
-    w = var(dep)
-    fwd_T = const(-1.0 / (8 * p)) * exp(const(-8 * p) * T)
-    fwd_X = exp(const(-4 * p) * T) * X
+    grow = exp(const(4 * p * (k + 2.0)) * T)
     shift = const(p / delta) * (const(2 * p) * X ** 2 + const(2 * k + 3.0)) * pow_(X, const(-k))
-    fwd_V = exp(const(4 * p * (k + 2.0)) * T) * (exp(const(p) * X ** 2) * w + shift)
-    inv_t = const(-1.0 / (8 * p)) * ln(const(-8 * p) * T)
-    mu_inv = (const(-8 * p) * T) ** 0.5            # e^(-4pt) in the new variables
-    inv_x = X / mu_inv
-    old_x = inv_x
-    old_shift = simplify(substitute(shift, "x", old_x))
-    inv_V = exp(-(const(p)) * old_x ** 2) * (
-        w * exp(const(-4 * p * (k + 2.0)) * inv_t) - old_shift)
-    return PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(fwd_V),
-                               simplify(inv_t), simplify(inv_x), simplify(inv_V),
-                               dep=dep, new_dep=dep)
+    return _point_map(*_exp_coords(2 * p), grow * exp(const(p) * X ** 2), grow * shift, "w")
 
 
 def _match_template(actual: Expr, shape: Expr, domain: Interval, what: str) -> float:
@@ -779,22 +743,11 @@ def _match_template(actual: Expr, shape: Expr, domain: Interval, what: str) -> f
     return c
 
 
-def _multiplier_map(fwd_T: Expr, fwd_X: Expr, inv_t: Expr, inv_x: Expr,
-                    mul: Expr, dep: str = "u") -> PointTransformation:
-    """t~=fwd_T, x~=fwd_X, dep~=mul*dep; inv_t and inv_x give t and x in
-    the new variables, through which the inverse multiplier is written."""
-    u = var(dep)
-    inv_mul = simplify(substitute(const(1) / mul, {"t": inv_t, "x": inv_x}))
-    return PointTransformation(simplify(fwd_T), simplify(fwd_X), simplify(mul * u),
-                               simplify(inv_t), simplify(inv_x), simplify(inv_mul * u),
-                               dep=dep, new_dep=dep)
-
-
 def _scaled_drift_map(k: float, sig: float, mul: Expr) -> PointTransformation:
     """t~=k^2 t, x~=k(x+2 sig t), u~=mul*u."""
     inv_t = T / const(k ** 2)
-    return _multiplier_map(const(k ** 2) * T, const(k) * (X + const(2 * sig) * T),
-                           inv_t, X / const(k) - const(2 * sig) * inv_t, mul)
+    return _point_map(simplify(const(k ** 2) * T), simplify(const(k) * (X + const(2 * sig) * T)),
+                      simplify(inv_t), simplify(X / const(k) - const(2 * sig) * inv_t), mul)
 
 
 def apply_additional(eq: Equation, which: str, params: dict | None = None) -> AdditionalMap:
@@ -898,8 +851,7 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
     if which == "initial:2.2->2.1":
         d = params["delta"]
         check_source("2.2", {"delta": d})
-        u = var("u")
-        tr = PointTransformation(T, X + T, u, T, X - T, u, dep="u", new_dep="u")
+        tr = _point_map(T, X + T, T, X - T, const(1))
         target = RDEquation(const(1), const(1), const(d), m,
                             _image_domain(eq.domain, tr), "u")
         return AdditionalMap(which, eq, target, tr, "T3/2.1", {"delta": d})
@@ -968,8 +920,7 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         f1 = func("whitM", const(kap1), const(mu1), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(2 * b * (1 + 2 * mu1 - 2 * kap1)) * T)
                * f1 / pow_(X, const(1 + 2 * mu1)))
-        base = _imaged_exp_map(b, 0.0, m)   # provides T(t), X(t,x) and inverses
-        tr = _multiplier_map(base.T, base.X, base.inv_T, base.inv_X, mul)
+        tr = _point_map(*_exp_coords(b), mul)
         tgt_dom = _image_domain(eq.domain, tr)
         f_t = pow_(X, const(lam))
         h_shape = pow_(X, const(gam))
@@ -987,8 +938,7 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         w = func("whitM", const(kap3), const(0.25), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(4 * b / (m - 1.0)) * T)
                * w / sqrt(func("abs", X)))
-        base = _imaged_exp_map(b, 0.0, m)
-        tr = _multiplier_map(base.T, base.X, base.inv_T, base.inv_X, mul)
+        tr = _point_map(*_exp_coords(b), mul)
         tgt_dom = _image_domain(eq.domain, tr)
         target0 = RDEquation(const(1), const(1), const(1), m, tgt_dom, "u")
         d_t = _extract_scale(eq, tr, target0, const(1))
@@ -1033,7 +983,7 @@ def tr_imaged_from_initial(tr: PointTransformation, src: RDEquation,
     V1 = simplify(diff(tr.V, "u"))
     # v~ = sqrt|f~|(X) * V1 * u = sqrt|f~|(X) * V1 / sqrt|f|(x) * v
     mul = simplify(substitute(r_tgt, "x", tr.X) * V1 / r_src)
-    return _multiplier_map(tr.T, tr.X, tr.inv_T, tr.inv_X, mul, "v")
+    return _point_map(tr.T, tr.X, tr.inv_T, tr.inv_X, mul, dep="v")
 
 
 # -- push-forwards ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from rdsym import tables
 from rdsym.expr import (
     EvalDomainError,
+    compile_expr,
     const,
     evaluate,
     max_deviation,
@@ -22,13 +23,16 @@ from rdsym.model import (
     ValidationError,
     VectorField,
 )
+from rdsym.sampling import halton_scaled
 from rdsym.transforms import (
+    ADDITIONAL_MAPS,
     UnsupportedBranch,
     _match_template,
     antiderivative,
     apply_additional,
     apply_equiv,
     gauge_fg,
+    imaged_image_elements,
     imaged_preimage,
     invert_monotone,
     map_residual_check,
@@ -49,6 +53,19 @@ def box_of(eq):
     return {"x": (eq.domain.lo, eq.domain.hi)}
 
 
+def assert_round_trip(tr, domain, t_range=(0.1, 0.8), dep_range=(0.5, 2.0),
+                      n=32, tol=1e-12):
+    """inverse(forward(p)) = p to `tol` relative at n Halton points of
+    t_range x domain x dep_range."""
+    forward = [compile_expr(e, ("t", "x", tr.dep)) for e in (tr.T, tr.X, tr.V)]
+    inverse = [compile_expr(e, ("t", "x", tr.new_dep))
+               for e in (tr.inv_T, tr.inv_X, tr.inv_V)]
+    for p in halton_scaled([t_range, (domain.lo, domain.hi), dep_range], n):
+        image = tuple(f(p) for f in forward)
+        for want, got in zip(p, (f(image) for f in inverse)):
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (p, want, got)
+
+
 class TestGauge:
     def test_already_gauged_is_identity(self):
         eq = RDEquation(parse("exp(x)"), parse("exp(x)"), parse("exp(x)"), M, DOM)
@@ -64,6 +81,7 @@ class TestGauge:
         assert num_equal(tr.X, parse("exp(x) - 1"), box_of(eq), 48, 1e-12)
         assert num_equal(new.f, const(1), box_of(new), 48, 1e-9)
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_sign_flip_reverses_time(self):
         eq = RDEquation(parse("exp(x)"), parse("-exp(-x)"), parse("x^2 + 1"), M,
@@ -78,6 +96,7 @@ class TestGauge:
         new, tr = gauge_fg(eq, 1.0)
         rep = map_residual_check(eq, new, tr, n=64, tol=1e-7)
         assert rep.passed, rep.max_residual
+        assert_round_trip(tr, eq.domain)
 
     def test_rule_table(self):
         assert antiderivative(parse("exp(2*x)")) is not None
@@ -101,6 +120,7 @@ class TestToImaged:
         assert num_equal(img.F, const(-1), box_of(eq), 64, 1e-9)
         assert num_equal(img.H, const(1), box_of(eq), 64, 1e-9)
         assert map_residual_check(eq, img, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_trivial(self):
         eq = RDEquation(const(1), const(1), const(1), M, DOM)
@@ -137,6 +157,7 @@ class TestToDoubleImaged:
         want = tables.double_G(2, {"delta": d, "q": q})
         assert num_equal(dbl.G, want, box_of(eq), 64, 1e-8)
         assert map_residual_check(eq, dbl, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_m_must_be_two(self):
         eq = ImagedEquation(const(0), const(1), 3.0, DOM)
@@ -213,6 +234,7 @@ class TestApplyEquiv:
         assert num_equal(new.H, parse("exp(x)"), box, 64, 1e-9)
         assert num_equal(new.F, tables.imaged_F(2, {"q": 1.0}, M), box, 64, 1e-9)
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_gauged_group_with_psi(self):
         src = RDEquation(parse("exp(x)"), parse("exp(x)"), parse("exp(x)"), M,
@@ -220,6 +242,7 @@ class TestApplyEquiv:
         psi = psi_from_constants(parse("exp(x)"), 0.4, 1.3, 0.5)
         new, tr = apply_equiv(src, EquivParams(psi=psi), "gauged")
         assert map_residual_check(src, new, tr, n=48).passed
+        assert_round_trip(tr, src.domain)
 
     def test_kernel_of_homomorphism(self):
         # psi-only elements do not move the imaged elements
@@ -264,12 +287,14 @@ class TestApplyEquiv:
         pr = EquivParams(delta=(1.5, 2.0, 0.5, 2.0, 0, 0), phi=parse("exp(x)"))
         new, tr = apply_equiv(eq, pr, "general")
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_double_group(self):
         eq, _ = tables.build_double(3, {"delta": 1.0, "k": 1.0, "b2": -2.0})
         pr = EquivParams(delta=(1, 1.4, 0.2, -0.3, 0.8, 0))
         new, tr = apply_equiv(eq, pr, "double")
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_m_preserved(self):
         eq, _ = tables.build_imaged(1, {"delta": 1.0, "q": 0.5, "a1": 1.0}, 1.5)
@@ -283,6 +308,17 @@ class TestApplyEquiv:
         new, tr = apply_equiv(eq, EquivParams(delta=(1, 1.2, 0.0, 0.4, 0.7, 0),
                                               chi=const(0)), "imaged-m2")
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
+
+    def test_shift_rejected_by_the_imaged_image_law(self):
+        # v~ = v + 6/x^2 on v_t = v_xx + v^2 moves F by -2 H chi = -12/x^2,
+        # which the imaged-m2 group law carries and the V1-only law cannot
+        eq = ImagedEquation(const(0), const(1), 2.0, Interval(0.5, 2.0))
+        new, tr = apply_equiv(eq, EquivParams(chi=parse("6*x^-2")), "imaged-m2")
+        assert num_equal(new.F, parse("-12*x^-2"), box_of(eq), 48, 1e-9)
+        assert map_residual_check(eq, new, tr, n=48).passed
+        with pytest.raises(ValidationError, match="imaged-m2"):
+            imaged_image_elements(eq, tr)
 
 
 ADDITIONAL_CASES = [
@@ -292,6 +328,27 @@ ADDITIONAL_CASES = [
      {"t": (0.1, 0.8)}),
     ("imaged:6->2", 6, {"delta": -1.0, "p": 0.9}, {"t": (0.1, 0.8)}),
 ]
+
+DOUBLE_CASES = [
+    ("double:1->1", 1, {"delta": 1.0, "q": 0.9, "b1": 0.7}, None),
+    ("double:2->2", 2, {"delta": -1.0, "q": 1.2}, None),
+    ("double:4->3", 4, {"delta": 1.0, "k": 1.0, "p": 0.5, "b2": 0.8},
+     {"t": (0.05, 0.4)}),
+    ("double:6->2", 6, {"delta": 1.0, "p": 0.7}, {"t": (0.05, 0.4)}),
+]
+
+INITIAL_CASES = [
+    ("initial:2.2->2.1", "2.2", {"delta": 1.0}, None),
+    ("initial:1.2->1.1", "1.2", {"delta": -1.0, "q": 0.8}, None),
+    ("initial:1.3->1.1", "1.3", {"delta": 1.0, "r": 5.0}, None),
+    ("initial:1.3->1.3", "1.3", {"delta": 1.0, "r": 2.2}, None),
+    ("initial:4->3.1", "4", {"delta": 1.0, "p": 0.6, "s": 0.4, "a2": 0.1},
+     {"t": (0.1, 0.8)}),
+    ("initial:6->2.1", "6", {"delta": 1.0, "p": 0.6}, {"t": (0.1, 0.8)}),
+]
+
+# maps that raise UnsupportedBranch and so have no transformation to invert
+UNSUPPORTED_MAPS = {"initial:4->3.2"}
 
 
 class TestAdditionalMaps:
@@ -309,14 +366,9 @@ class TestAdditionalMaps:
                          box, 64, 1e-9)
         assert map_residual_check(eq, am.target, am.transformation,
                                   n=64, box=tbox).passed
+        assert_round_trip(am.transformation, eq.domain)
 
-    @pytest.mark.parametrize("which,row,params,tbox", [
-        ("double:1->1", 1, {"delta": 1.0, "q": 0.9, "b1": 0.7}, None),
-        ("double:2->2", 2, {"delta": -1.0, "q": 1.2}, None),
-        ("double:4->3", 4, {"delta": 1.0, "k": 1.0, "p": 0.5, "b2": 0.8},
-         {"t": (0.05, 0.4)}),
-        ("double:6->2", 6, {"delta": 1.0, "p": 0.7}, {"t": (0.05, 0.4)}),
-    ])
+    @pytest.mark.parametrize("which,row,params,tbox", DOUBLE_CASES)
     def test_double_maps(self, which, row, params, tbox):
         eq, _ = tables.build_double(row, params)
         am = apply_additional(eq, which, params)
@@ -328,16 +380,9 @@ class TestAdditionalMaps:
                          tables.double_G(tgt_row, am.target_params), box, 64, 1e-9)
         assert map_residual_check(eq, am.target, am.transformation,
                                   n=64, box=tbox).passed
+        assert_round_trip(am.transformation, eq.domain)
 
-    @pytest.mark.parametrize("which,case,params,tbox", [
-        ("initial:2.2->2.1", "2.2", {"delta": 1.0}, None),
-        ("initial:1.2->1.1", "1.2", {"delta": -1.0, "q": 0.8}, None),
-        ("initial:1.3->1.1", "1.3", {"delta": 1.0, "r": 5.0}, None),
-        ("initial:1.3->1.3", "1.3", {"delta": 1.0, "r": 2.2}, None),
-        ("initial:4->3.1", "4", {"delta": 1.0, "p": 0.6, "s": 0.4, "a2": 0.1},
-         {"t": (0.1, 0.8)}),
-        ("initial:6->2.1", "6", {"delta": 1.0, "p": 0.6}, {"t": (0.1, 0.8)}),
-    ])
+    @pytest.mark.parametrize("which,case,params,tbox", INITIAL_CASES)
     def test_initial_maps(self, which, case, params, tbox):
         eq, _ = tables.build_initial(case, params, M)
         am = apply_additional(eq, which, params)
@@ -348,6 +393,12 @@ class TestAdditionalMaps:
         assert num_equal(am.target.h, h_t, box, 48, 1e-9)
         assert map_residual_check(eq, am.target, am.transformation,
                                   n=64, box=tbox).passed
+        assert_round_trip(am.transformation, eq.domain)
+
+    @pytest.mark.parametrize("which", ADDITIONAL_MAPS)
+    def test_every_map_has_a_round_trip_case(self, which):
+        covered = {case[0] for case in ADDITIONAL_CASES + DOUBLE_CASES + INITIAL_CASES}
+        assert (which in covered) != (which in UNSUPPORTED_MAPS)
 
     @pytest.mark.parametrize("actual,shape,want", [
         ("2*ln(x + 1)", "ln(x + 1)", 2.0),
@@ -437,6 +488,7 @@ class TestM2Groups:
                                               psi=psi), "gauged-m2")
         assert new.m == 2.0
         assert map_residual_check(eq, new, tr, n=48).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_gauged_m2_rejects_bad_psi(self):
         f = parse("exp(x)")
@@ -452,6 +504,7 @@ class TestM2Groups:
                          psi=psi)
         new, tr = apply_equiv(eq, pr, "general-m2")
         assert map_residual_check(eq, new, tr, n=48, tol=1e-7).passed
+        assert_round_trip(tr, eq.domain)
 
     def test_imaged_m2_rejects_bad_chi(self):
         eq, _ = tables.build_imaged(2, {"delta": 1.0, "q": 1.0}, 2.0)
