@@ -61,7 +61,7 @@ FUNCTIONS = {
 _BINOPS = ("add", "sub", "mul", "div", "pow")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """One node of an immutable expression tree.
 
@@ -69,13 +69,40 @@ class Expr:
     "add" "sub" "mul" "div" "pow", "call" (name holds the function), or
     "interp" (an internal monotone-cubic table used by numeric-inverse
     fallbacks; not part of the grammar and not printable).
+
+    Equality is structural.  The hash is computed once, when the node is
+    built, from its fields; the children's hashes are already stored, so
+    building a node costs O(arity) and hashing it O(1).
     """
 
     kind: str
     value: float | None = None
     name: str | None = None
     args: tuple["Expr", ...] = ()
-    data: tuple | None = field(default=None, compare=True)
+    data: tuple | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.value, self.name, self.args, self.data)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Expr:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        return (self.kind, self.value, self.name, self.args, self.data) == (
+            other.kind, other.value, other.name, other.args, other.data)
+
+    def __reduce__(self):
+        # rebuild through the constructor: a string's hash differs between
+        # interpreters, so a stored _hash must not travel with the node
+        return (Expr, (self.kind, self.value, self.name, self.args, self.data))
 
     # -- builder sugar ----------------------------------------------------
 
@@ -853,12 +880,27 @@ def _collect_terms(e: Expr) -> Expr:
     return result
 
 
+# Bound on the entries of the walk memo of `simplify`; the memo is cleared
+# when it is full.  Each entry holds a key node and its walked result, both
+# mostly shared with live trees, so the bound caps the memo at a few MB.
+SIMPLIFY_MEMO_SIZE = 4000
+
+# (frozenset of the assumption table's items, node) -> walked node
+_SIMPLIFY_MEMO: dict[tuple[frozenset, Expr], Expr] = {}
+
+
 def simplify(e: Expr, assumptions: Iterable = ()) -> Expr:
     """Apply the rule table bottom-up to a fixpoint.  Numerically
     equivalent to the input on the input's domain; idempotent."""
     asm = _normalize_assumptions(assumptions)
+    asm_key = frozenset(asm.items())
+    memo = _SIMPLIFY_MEMO
 
     def walk(n: Expr) -> Expr:
+        key = (asm_key, n)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         if n.args:
             new_args = tuple(walk(a) for a in n.args)
             if new_args != n.args:
@@ -868,6 +910,9 @@ def simplify(e: Expr, assumptions: Iterable = ()) -> Expr:
             collected = _collect_terms(n)
             if collected != n:
                 n = walk(collected)
+        if len(memo) >= SIMPLIFY_MEMO_SIZE:
+            memo.clear()
+        memo[key] = n
         return n
 
     prev = e
@@ -882,21 +927,24 @@ def simplify(e: Expr, assumptions: Iterable = ()) -> Expr:
 # -- evaluation ------------------------------------------------------------
 
 def _pow(base: float, expo: float) -> float:
-    if base > 0.0:
-        r = base ** expo
-    elif base == 0.0:
-        if expo > 0.0:
-            r = 0.0
+    try:
+        if base > 0.0:
+            r = base ** expo
+        elif base == 0.0:
+            if expo > 0.0:
+                r = 0.0
+            else:
+                raise EvalDomainError("0 raised to a nonpositive power")
         else:
-            raise EvalDomainError("0 raised to a nonpositive power")
-    else:
-        n = round(expo)
-        if abs(expo - n) < 1e-9:
-            r = (-1.0) ** (int(n) % 2) * (-base) ** n
-        else:
-            raise EvalDomainError(
-                f"noninteger power {expo} of negative base {base}"
-            )
+            n = round(expo)
+            if abs(expo - n) < 1e-9:
+                r = (-1.0) ** (int(n) % 2) * (-base) ** n
+            else:
+                raise EvalDomainError(
+                    f"noninteger power {expo} of negative base {base}"
+                )
+    except (OverflowError, ValueError):   # a result out of range, or round() of inf/nan
+        raise EvalDomainError(f"power {base}^{expo} out of range") from None
     if not math.isfinite(r):
         raise EvalDomainError("overflow in power")
     return r

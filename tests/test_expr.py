@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from rdsym.expr import (
@@ -221,10 +226,80 @@ class TestSimplify:
         assert simplify(parse("sqrt(x^2)"), ["x>0"]) == var("x")
         assert simplify(parse("sqrt(x^2)")) == func("abs", var("x"))
 
+    def test_memo_respects_assumptions(self):
+        # one process, alternating order: a memo keyed on the node alone
+        # would hand one table's answer to the next
+        root = parse("sqrt(x^2)")
+        wants = {(): func("abs", var("x")), ("x>0",): var("x"), ("x<0",): -var("x")}
+        for asm in [(), ("x>0",), ("x<0",), (), ("x<0",), ("x>0",), ()]:
+            assert simplify(root, asm) == wants[asm], asm
+        dist = parse("abs(x-1)")
+        for asm, want in [("x-1>0", 1.0), ("x-1<0", -1.0), ("x-1>0", 1.0), ("x-1<0", -1.0)]:
+            assert diff(dist, "x", [asm]) == const(want), asm
+
+
+class TestHashContract:
+    def test_hash_of_the_fields(self):
+        e = parse("exp(-x^2/2)*sn(t, 0.5) + 3")
+        for n in (e, e.args[0], e.args[1], var("x")):
+            assert hash(n) == hash((n.kind, n.value, n.name, n.args, n.data))
+
+    def test_separate_builds_are_equal(self):
+        def build():
+            return func("exp", -var("x") ** 2 / 2) * func("sn", var("t"), const(0.5)) + 3
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert parse("exp(x)*sn(t, 0.5)") == parse("exp(x)*sn(t, 0.5)")
+
+    def test_one_leaf_apart_is_unequal(self):
+        a = parse("exp(-x^2/2)*sn(t, 0.5) + 3")
+        for src in ("exp(-x^2/2)*sn(t, 0.25) + 3", "exp(-y^2/2)*sn(t, 0.5) + 3",
+                    "exp(-x^2/2)*cn(t, 0.5) + 3"):
+            assert a != parse(src)
+
+    def test_interp_nodes_hash(self):
+        from rdsym.transforms import _hermite
+
+        def table():
+            return _hermite([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [0.0, 2.0, 4.0],
+                            [2.0, 2.0, 2.0])
+        a, b = table(), table()
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert diff(a, "x") != a
+
+    def test_signed_zero(self):
+        assert const(0.0) == const(-0.0)
+        assert hash(const(0.0)) == hash(const(-0.0))
+
+    def test_slots(self):
+        assert not hasattr(parse("x + 1"), "__dict__")
+
+    def test_pickle_rebuilds_the_hash(self):
+        # string hashes differ between interpreters: an unpickled node must
+        # hash by the fields it has there, not carry the sender's hash
+        code = ("import pickle, sys; e = pickle.loads(sys.stdin.buffer.read()); "
+                "assert hash(e) == hash((e.kind, e.value, e.name, e.args, e.data))")
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       input=pickle.dumps(parse("exp(x)*sn(t, 0.5) + y")))
+
 
 class TestEvaluate:
     def test_square(self):
         assert evaluate(parse("x^2"), {"x": 3}) == 9.0
+
+    @pytest.mark.parametrize("src", [
+        "2^(1000*x)",                                       # overflows
+        "(0 - x)^(x*10^200*10^200 - x*10^200*10^200)",      # nan exponent when compiled
+    ])
+    def test_out_of_range_power_is_a_domain_error(self, src):
+        e = parse(src)
+        with pytest.raises(EvalDomainError):
+            evaluate(e, {"x": 1.5})
+        with pytest.raises(EvalDomainError):
+            compile_expr(e, ("x",))((1.5,))
 
     def test_odd_function_at_zero(self):
         assert evaluate(parse("tanh(x)"), {"x": 0}) == 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -185,6 +186,14 @@ class TestPreimage:
         box = box_of(pre)
         assert num_equal(img.F, tables.imaged_F(row, params, M), box, 64, 1e-9)
         assert num_equal(img.H, tables.imaged_H(row, params), box, 64, 1e-9)
+
+    @pytest.mark.parametrize("row,params", PREIMAGE_CASES)
+    def test_map_check_fails_on_a_perturbed_map(self, row, params):
+        pre = imaged_preimage(row, params, M)
+        img, tr = to_imaged(pre)
+        assert map_residual_check(pre, img, tr, n=64, tol=1e-8).passed
+        bad = replace(tr, V=tr.V * (1 + 0.01 * var("x")))
+        assert not map_residual_check(pre, img, bad, n=64, tol=1e-8).passed
 
     @pytest.mark.parametrize("row,params", PREIMAGE_CASES)
     def test_ode_residual(self, row, params):
