@@ -5,7 +5,8 @@ subclass predicate.
 
 Matching order runs from the most specific templates downward; footnote
 exclusions are checked before a row is accepted.  Anything unmatched
-lands in the kernel case (row 0, algebra <d_t>).
+lands in the kernel case (row 0, algebra <d_t>).  The initial class is
+classified through its image in the imaged class.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .expr import (
     const,
     diff,
     exp,
-    func,
-    ln,
     num_equal,
     pow_,
     simplify,
@@ -45,7 +44,7 @@ from .model import (
     constant_on,
     require_valid,
 )
-from .transforms import sqrt_resolved
+from .transforms import image_of_valid, pullback_operator, to_double_imaged
 
 X = var("x")
 
@@ -146,6 +145,36 @@ def _fit_F_poly(F: Expr, domain: Interval, nu: float) -> tuple[float, float, flo
             0.0 if abs(a2) < _ZERO_TOL else a2)
 
 
+def _pole_of(F: Expr, domain: Interval) -> float | None:
+    """nu of F = a2 (x+nu)^-2, read off the line |F|^(-1/2) = |x+nu|/sqrt|a2|;
+    None when F is not of that form."""
+    xs = domain.samples(_FIT_SAMPLES)
+    fv = _eval_many(F, xs)
+    if fv is None or any(v == 0.0 for v in fv):
+        return None
+    coef, res = _lstsq([[x, 1.0] for x in xs], [abs(v) ** -0.5 for v in fv])
+    if res > _FIT_TOL:
+        return None
+    nu = float(coef[1] / coef[0])
+    return 0.0 if abs(nu) < _ZERO_TOL else nu
+
+
+def _through_double_image(eq: ImagedEquation) -> ClassificationResult | None:
+    """Row 3 with k = 0 and a2 = -12 at m = 2: the double image has G = 0,
+    the T2/2 equation with q = 0, so the equation is reported as T1/2 with
+    q = 0 and the T2/2 operators pulled back.  None when the double image
+    is not T2/2."""
+    dbl, tr = to_double_imaged(eq)
+    r = classify_double_imaged(dbl)
+    if r.case != "T2/2":
+        return None
+    return ClassificationResult(
+        "T1/2", {"delta": r.params["delta"], "q": 0.0},
+        tuple(pullback_operator(Q, tr) for Q in r.operators),
+        r.notes + ("point-equivalent to T1/2 with q=0 through to_double_imaged "
+                   "(w = v + F/(2H)), whose image is T2/2 with G=0",))
+
+
 def _shift_ops(ops, nu: float):
     if nu == 0.0:
         return tuple(ops)
@@ -201,6 +230,11 @@ def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
     """Match (H, F) against the imaged-class rows; returns the kernel case
     T1/0 when no template fits."""
     require_valid(eq)
+    return _match_imaged(eq)
+
+
+def _match_imaged(eq: ImagedEquation) -> ClassificationResult:
+    """classify_imaged of an equation known to be valid."""
     m = eq.m
     asm = eq.assumptions()
     box = {"x": (eq.domain.lo, eq.domain.hi)}
@@ -221,21 +255,25 @@ def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
                           lambda: tables.imaged_operators(row, params, m), shift, notes)
 
     if p == 0.0 and k == 0.0:
-        # exponential rows 1 / 2: F must be constant
+        # exponential rows 1 / 2 when F is constant
         try:
             c2, c0, a2 = _fit_F_poly(eq.F, eq.domain, 0.0)
+            constant_F = c2 == 0.0 and a2 == 0.0
         except _NoFit:
-            return kernel()
-        if c2 != 0.0 or a2 != 0.0:
-            return kernel()
-        alpha = tables.alpha_of(q, m)
-        delta_eff = delta * math.exp(q * nu) if nu else delta
-        if abs(c0 + alpha * alpha) < _ZERO_TOL:
-            r = confirmed(2, {"delta": delta_eff, "q": q}, 0.0)
-            if r:
-                return r
-        r = confirmed(1, {"delta": delta_eff, "q": q, "a1": c0}, 0.0)
-        return r or kernel()
+            constant_F = False
+        if constant_F:
+            alpha = tables.alpha_of(q, m)
+            if abs(c0 + alpha * alpha) < _ZERO_TOL:
+                r = confirmed(2, {"delta": delta, "q": q}, 0.0)
+                if r:
+                    return r
+            r = confirmed(1, {"delta": delta, "q": q, "a1": c0}, 0.0)
+            return r or kernel()
+        # otherwise row 3 with k = 0, its pole read off F
+        if q == 0.0:
+            nu = _pole_of(eq.F, eq.domain)
+            if nu is None:
+                return kernel()
 
     if p == 0.0:
         # power row 3 (shift allowed); the template has no drift term
@@ -248,9 +286,9 @@ def classify_imaged(eq: ImagedEquation) -> ClassificationResult:
             return kernel()
         if c2 != 0.0 or c0 != 0.0:
             return kernel()
-        if k == 0.0 and a2 == 0.0:
-            return confirmed(2, {"delta": delta, "q": 0.0}, 0.0) or kernel()
         r = confirmed(3, {"delta": delta, "k": k, "a2": a2}, nu)
+        if r and m == 2.0 and k == 0.0 and abs(a2 + 12.0) < 1e-7 * 12.0:
+            return _through_double_image(eq) or r
         return r or kernel()
 
     # Gaussian rows 4 / 5 / 6
@@ -397,164 +435,38 @@ def _double_row3_from_G(eq, delta, box, confirmed):
 
 # -- initial class ---------------------------------------------------------------
 
-def _log_linear(e: Expr, domain: Interval, basis: list[Expr]) -> tuple[list[float], float] | None:
-    """Fit log|e| = sum c_i basis_i(x); returns coefficients and residual."""
-    xs = domain.samples(_FIT_SAMPLES)
-    ev = _eval_many(e, xs)
-    if ev is None or any(v == 0.0 for v in ev):
-        return None
-    fns = [compile_expr(b, ("x",)) for b in basis]
-    try:
-        rows = [[f((xv,)) for f in fns] for xv in xs]
-    except EvalDomainError:
-        return None
-    coef, res = _lstsq(rows, [math.log(abs(v)) for v in ev])
-    return [float(c) for c in coef], res
-
-
-def _fit_scale(e: Expr, domain: Interval, shape: Expr) -> tuple[float, float] | None:
-    """Fit e = delta exp(slope*shape) through log|e| = c + slope*shape at
-    _FIT_TOL; delta = exp(c) with the sign of e at the domain midpoint.
-    Returns (delta, slope), or None when the fit fails."""
-    fit = _log_linear(e, domain, [const(1), shape])
-    if fit is None or fit[1] > _FIT_TOL:
-        return None
-    (c, slope), _ = fit
-    mid = 0.5 * (domain.lo + domain.hi)
-    sgn = 1.0 if compile_expr(e, ("x",))((mid,)) > 0 else -1.0
-    return sgn * math.exp(c), slope
+def _t3_case(image: ClassificationResult) -> str:
+    """The T3 case of an equation whose image under to_imaged is `image`:
+    row 1 by the sign of a1 (1.1, 1.2, 1.3), row 2 by q = 0 (2.1, 2.2),
+    row 3 by a2 <= 1/4 (3.1, 3.2), rows 4-6 as cases 4-6, T1/0 as T3/0."""
+    row, pr = int(image.case.split("/")[1]), image.params
+    if row == 1:
+        return "1.1" if pr["a1"] == 0.0 else "1.2" if pr["a1"] > 0.0 else "1.3"
+    if row == 2:
+        return "2.1" if pr["q"] == 0.0 else "2.2"
+    if row == 3:
+        return "3.1" if pr["a2"] <= 0.25 + _ZERO_TOL else "3.2"
+    return str(row)
 
 
 def classify_initial(eq: RDEquation) -> ClassificationResult:
-    """Match a gauged-class equation (f=g) against the tabulated cases."""
+    """Classify a gauged-class equation (f=g) through its image under
+    to_imaged: the T3 case is read off the image's row, the params are the
+    image row's, and the image's operators are pulled back through
+    v = sqrt|f| u."""
     require_valid(eq)
     if eq.f != eq.g:
         raise ValueError("classification applies to the gauged class f=g")
-    m = eq.m
-    box = {"x": (eq.domain.lo, eq.domain.hi)}
-    ONE_B = [const(1), X]
-    kernel = partial(_kernel, "T3", "u")
-
-    def confirmed(case: str, params: dict,
-                  notes: tuple[str, ...] = ()) -> ClassificationResult | None:
-        f_t, h_t = tables.initial_fh(case, params, m)
-        return _confirmed(f"T3/{case}", ((eq.f, f_t), (eq.h, h_t)), box, params,
-                          lambda: tables.initial_operators(case, params, m), notes=notes)
-
-    # constant f
-    fit_f = _log_linear(eq.f, eq.domain, ONE_B)
-    if fit_f is not None and fit_f[1] <= _FIT_TOL and abs(fit_f[0][0]) < 1e-10 \
-            and abs(fit_f[0][1]) < _ZERO_TOL:
-        scale = _fit_scale(eq.h, eq.domain, X)
-        if scale is None:
-            return kernel()
-        delta, q = scale
-        if abs(q) < _ZERO_TOL:
-            return confirmed("2.1", {"delta": delta}) or kernel()
-        notes = () if q == 1.0 else (
-            "q normalizes to 1 by a scaling equivalence",)
-        return confirmed("1.1", {"delta": delta, "q": q}, notes) or kernel()
-
-    # f = e^x family
-    if fit_f is not None and fit_f[1] <= _FIT_TOL and abs(fit_f[0][0]) < 1e-10 \
-            and abs(fit_f[0][1] - 1.0) < 1e-10:
-        scale = _fit_scale(eq.h, eq.domain, X)
-        if scale is None:
-            return kernel()
-        delta, r = scale
-        if abs(r - 1.0) < _ZERO_TOL:
-            return confirmed("2.2", {"delta": delta}) or kernel()
-        if abs(r - m) < _ZERO_TOL:
-            return ClassificationResult(
-                "T3/2.2", {"delta": delta, "r": r}, (tables._dt("u"),),
-                ("r=m is excluded from case 1.3; the equation is "
-                 "point-equivalent to case 2.2 (operators not instantiated)",))
-        return confirmed("1.3", {"delta": delta, "r": r}) or kernel()
-
-    # f = cos^2 x
-    if num_equal(eq.f, func("cos", X) ** 2, box, 48, _CONFIRM_TOL):
-        ratio = simplify(eq.h / func("abs", func("cos", X)) ** const(m + 1.0))
-        scale = _fit_scale(ratio, eq.domain, X)
-        if scale is None:
-            return kernel()
-        delta, q = scale
-        return confirmed("1.2", {"delta": delta, "q": q}) or kernel()
-
-    # f = x^lambda
-    fit_pow = _log_linear(eq.f, eq.domain, [const(1), ln(X)])
-    if fit_pow is not None and fit_pow[1] <= _FIT_TOL and abs(fit_pow[0][0]) < 1e-10:
-        lam = fit_pow[0][1]
-        scale = _fit_scale(eq.h, eq.domain, ln(X))
-        if scale is None:
-            return kernel()
-        delta, gam = scale
-        if abs(gam) < _ZERO_TOL:
-            gam = 0.0
-        excluded = [(0.0, 0.0), (2.0, m + 1.0)]
-        if m == 2.0:
-            excluded += [(-6.0, -9.0), (2.0, 3.0), (8.0, 12.0)]
-        for le, ge in excluded:
-            if abs(lam - le) < _ZERO_TOL and abs(gam - ge) < _ZERO_TOL:
-                return ClassificationResult(
-                    "T3/2.1", {"delta": delta, "lam": lam, "gam": gam},
-                    tables.initial_operators("2.1", {"delta": delta}, m),
-                    (f"(lambda,gamma)=({lam:g},{gam:g}) is equivalent to the "
-                     "constant-coefficient case via lambda -> 2-lambda, "
-                     "gamma -> gamma+(m+1)(1-lambda)",))
-        return confirmed("3.1", {"delta": delta, "lam": lam, "gam": gam}) or kernel()
-
-    # remaining shapes are driven by the image F = -(sqrt|f|)_xx / sqrt|f|
     try:
-        rt, _, asm = sqrt_resolved(eq.f, eq.domain, (eq.h,))
-        F = simplify(-diff(diff(rt, "x", asm), "x", asm) / rt, asm)
-        c2, c0, a2f = _fit_F_poly(F, eq.domain, 0.0)
-    except (_NoFit, ExprError, ValidationError):   # UnsupportedBranch is a ValidationError
-        return kernel()
-
-    if c2 == 0.0 and c0 == 0.0 and a2f > 0.25:
-        # f = x cos(rho ln x)^2
-        rho = math.sqrt(4.0 * a2f - 1.0) / 2.0
-        cosln = func("cos", const(rho) * ln(X))
-        if not num_equal(eq.f, X * cosln ** 2, box, 48, _CONFIRM_TOL):
-            return kernel()
-        ratio = simplify(eq.h / func("abs", cosln) ** const(m + 1.0))
-        scale = _fit_scale(ratio, eq.domain, ln(X))
-        if scale is None:
-            return kernel()
-        delta, l = scale
-        return confirmed("3.2", {"delta": delta, "rho": rho, "l": l}) or kernel()
-
-    if c2 >= 0.0:
-        return kernel()
-    beta = math.sqrt(-c2)
-    p = beta * (m - 1.0) / 2.0
-    if a2f > 0.25:
-        return kernel("oscillatory Whittaker branch (a2 > 1/4) is not "
-                      "instantiated")
-    kappa = c0 / (4.0 * beta)
-    mu = math.sqrt(1.0 - 4.0 * a2f) / 4.0
-    w = func("whitM", const(kappa), const(mu), const(beta) * X ** 2)
-    ratio = simplify(eq.h / (exp(const(p) * X ** 2)
-                             * func("abs", w) ** const(m + 1.0)))
-    scale = _fit_scale(ratio, eq.domain, ln(X))
-    if scale is None:
-        return kernel()
-    delta, s = scale
-    if abs(mu - 0.25) < 1e-9 and abs(s + (m + 1.0) / 2.0) < 1e-9:
-        kappa3 = (5.0 - m) / (4.0 * (1.0 - m))
-        if abs(kappa - kappa3) < 1e-9:
-            r = confirmed("6", {"delta": delta, "p": p})
-            if r:
-                return r
-        r = confirmed("5", {"delta": delta, "p": p, "a3": 4.0 * kappa})
-        if r:
-            return r
-    # general Whittaker case with s free
-    a2_tab = (1.0 - 16.0 * mu * mu) / 4.0
-    if abs(kappa - (s + 3.0) / (2.0 * (1.0 - m))) > 1e-7 * max(1.0, abs(kappa)):
-        return kernel()
-    r = confirmed("4", {"delta": delta, "p": p, "s": s, "a2": a2_tab})
-    return r or kernel()
+        img, tr = image_of_valid(eq)
+    except (ExprError, ValidationError) as exc:
+        return _kernel("T3", "u", f"no image under to_imaged: {exc}")
+    r = _match_imaged(img)
+    return ClassificationResult(
+        f"T3/{_t3_case(r)}", r.params,
+        tuple(pullback_operator(Q, tr) for Q in r.operators),
+        r.notes + (f"classified through its image {r.case} under to_imaged "
+                   "(v = sqrt|f| u); params are the image row's",))
 
 
 # -- admissible-transformation subclasses -----------------------------------------

@@ -1038,11 +1038,31 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     """Compile to a fast callable f(values_tuple) -> float.
 
-    Same domain semantics as `evaluate`; used by the sampling loops.
+    Same domain semantics as `evaluate`; used by the sampling loops.  A
+    non-leaf node that occurs more than once in the tree is computed once
+    per point: its closure keeps the last point object and its value, so
+    a point must be a tuple (or never changed in place once passed).
     """
     index = {n: i for i, n in enumerate(names)}
+    seen: dict[Expr, int] = {}
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.args:
+            seen[n] = seen.get(n, 0) + 1
+            if seen[n] == 1:
+                stack.extend(n.args)
+    shared: dict[Expr, Callable] = {}
 
     def build(n: Expr) -> Callable:
+        f = shared.get(n)
+        if f is None:
+            f = build_node(n)
+            if seen.get(n, 0) > 1:
+                f = shared[n] = _once_per_point(f)
+        return f
+
+    def build_node(n: Expr) -> Callable:
         k = n.kind
         if k == "const":
             v = n.value
@@ -1106,6 +1126,21 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
         return r
 
     return run
+
+
+def _once_per_point(f: Callable) -> Callable:
+    """f with its value kept for the last point object; a point at which
+    f raises leaves the kept value as it was."""
+    last_p = last_v = None
+
+    def g(p):
+        nonlocal last_p, last_v
+        if p is not last_p:
+            last_v = f(p)
+            last_p = p
+        return last_v
+
+    return g
 
 
 # -- sampled residuals -----------------------------------------------------

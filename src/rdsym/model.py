@@ -20,7 +20,7 @@ from .expr import (
     parse,
     to_str,
 )
-from .sampling import halton_scaled
+from .sampling import halton_scaled, line_samples
 
 _NONVANISH_SAMPLES = 64
 _CONSTANT_SAMPLES = 32
@@ -50,8 +50,8 @@ class Interval:
         if not (self.lo < self.hi):
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
 
-    def samples(self, n: int = _NONVANISH_SAMPLES) -> list[float]:
-        return [p[0] for p in halton_scaled([(self.lo, self.hi)], n)]
+    def samples(self, n: int = _NONVANISH_SAMPLES) -> tuple[float, ...]:
+        return line_samples(self.lo, self.hi, n)
 
     def as_json(self) -> str:
         return f"x:{self.lo}..{self.hi}"

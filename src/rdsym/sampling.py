@@ -64,3 +64,14 @@ def halton_scaled(box: list[tuple[float, float]], n: int) -> list[tuple[float, .
         tuple(lo + (hi - lo) * c for (lo, hi), c in zip(box, pt))
         for pt in pts
     ]
+
+
+@lru_cache(maxsize=256)
+def _line_cached(lo: float, hi: float, n: int, offset: int) -> tuple[float, ...]:
+    return tuple(lo + (hi - lo) * pt[0] for pt in _halton_cached(1, n, offset))
+
+
+def line_samples(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """The coordinates of halton_scaled([(lo, hi)], n), kept per
+    (lo, hi, n, start index)."""
+    return _line_cached(lo, hi, n, _BASE_OFFSET + _seed_offset())

@@ -1,7 +1,7 @@
 """Mappings between the equation classes: the f=g gauge, the imaged and
 double-imaged maps, tabulated preimages, equivalence-group actions,
-additional equivalence maps between classification cases, and push-forwards
-of operators and solutions.
+additional equivalence maps between classification cases, the pullback of
+operators and the push-forward of solutions.
 
 Every constructed map can be checked against the PDEs themselves with
 `map_residual_check`, which transports jet coordinates through the change
@@ -322,6 +322,11 @@ def to_imaged(eq: RDEquation) -> tuple[ImagedEquation, PointTransformation]:
     if eq.f != eq.g:
         raise ValidationError("to_imaged requires the f=g gauge (apply gauge_fg first)")
     require_valid(eq)
+    return image_of_valid(eq)
+
+
+def image_of_valid(eq: RDEquation) -> tuple[ImagedEquation, PointTransformation]:
+    """to_imaged of an f=g equation that has passed validation."""
     r, s, asm = sqrt_resolved(eq.f, eq.domain, (eq.h,))
     F = simplify(-diff(diff(r, "x", asm), "x", asm) / r, asm)
     H = simplify(eq.h * const(s) / pow_(r, const(eq.m + 1.0)), asm)
@@ -986,21 +991,25 @@ def tr_imaged_from_initial(tr: PointTransformation, src: RDEquation,
     return _point_map(tr.T, tr.X, tr.inv_T, tr.inv_X, mul, dep="v")
 
 
-# -- push-forwards ---------------------------------------------------------------
+# -- operator pullback, solution push-forward ------------------------------------
 
-def pushforward_operator(Q: VectorField, f: Expr, domain: Interval,
-                         new_dep: str = "u") -> VectorField:
-    """Push an imaged-class operator back to the gauged class through
-    v = sqrt|f| u:  eta_u = eta_v/sqrt|f| - xi f_x/(2f) u, with
-    v -> sqrt|f| u substituted inside eta."""
-    r, _, asm = sqrt_resolved(f, domain)
-    u = var(new_dep)
-    eta_v = substitute(Q.eta, Q.dep, simplify(r * u))
-    xi = substitute(Q.xi, Q.dep, simplify(r * u))
-    tau = substitute(Q.tau, Q.dep, simplify(r * u))
-    fx = diff(f, "x", asm)
-    eta_u = simplify(eta_v / r - xi * fx / (const(2) * f) * u, asm)
-    return VectorField(simplify(tau, asm), simplify(xi, asm), eta_u, new_dep)
+def pullback_operator(Q: VectorField, tr: PointTransformation) -> VectorField:
+    """Pull an operator of the target equation back through a map with
+    t~ = t, x~ = x, dep~ = V(t, x, dep):  tau = tau~∘V, xi = xi~∘V and
+    eta = (eta~∘V - tau V_t - xi V_x)/V_dep, where ∘V puts V in place of
+    the new dependent variable."""
+    if tr.T != T or tr.X != X:
+        raise ValidationError("the operator pullback needs a map with t~ = t, x~ = x")
+    if Q.dep != tr.new_dep:
+        raise ValidationError(f"operator acts on {Q.dep!r}, the map yields {tr.new_dep!r}")
+    V = tr.V
+
+    def on_V(e: Expr) -> Expr:
+        return substitute(e, Q.dep, V)
+
+    tau, xi = simplify(on_V(Q.tau)), simplify(on_V(Q.xi))
+    eta = (on_V(Q.eta) - tau * diff(V, "t") - xi * diff(V, "x")) / diff(V, tr.dep)
+    return VectorField(tau, xi, simplify(eta), tr.dep)
 
 
 def pushforward_solution(sol: Expr, tr: PointTransformation) -> Expr:

@@ -57,6 +57,29 @@ class TestImagedExamples:
         r = classify_imaged(eq)
         assert r.case == "T1/2"
 
+    @pytest.mark.parametrize("a2", [-2.0, 0.2, 0.5])
+    def test_row3_with_constant_H(self, a2):
+        eq, _ = tables.build_imaged(3, {"delta": 1.0, "k": 0.0, "a2": a2}, 3.0)
+        r = classify_imaged(eq)
+        assert r.case == "T1/3"
+        assert params_close(r.params, {"delta": 1.0, "k": 0.0, "a2": a2})
+        for q in r.operators:
+            assert verify_lie(eq, q, n=64, tol=1e-8).passed
+
+    def test_row3_with_constant_H_shifted(self):
+        eq = ImagedEquation(parse("0.5*(x + 0.3)^-2"), const(2), 3.0, DOM)
+        r = classify_imaged(eq)
+        assert r.case == "T1/3"
+        assert params_close(r.params, {"delta": 2.0, "k": 0.0, "a2": 0.5, "nu": 0.3})
+
+    def test_m2_row3_a2_minus_12_through_double_image(self):
+        eq, _ = tables.build_imaged(3, {"delta": -1.0, "k": 0.0, "a2": -12.0}, 2.0)
+        r = classify_imaged(eq)
+        assert (r.case, len(r.operators)) == ("T1/2", 3)
+        assert r.params == {"delta": -1.0, "q": 0.0}
+        for q in r.operators:
+            assert verify_lie(eq, q, n=64, tol=1e-8).passed
+
     def test_m2_a3_boundary_flagged(self):
         pr = {"delta": 1.0, "p": 0.5, "a3": 5.0}
         eq, _ = tables.build_imaged(5, pr, 2.0)
@@ -76,6 +99,20 @@ T1_SWEEP = [
     (5, {"delta": 1.0, "p": 0.8, "a3": 0.3}),
     (6, {"delta": 1.0, "p": 0.5}),
 ]
+
+
+# classify_initial reports the parameters of the image row under to_imaged
+# (v = sqrt|f| u, m = 3); where they differ from the case's own parameters:
+IMAGE_PARAMS = {
+    # f = e^x, h = e^(r x): H = e^((r - (m+1)/2) x), F = -1/4
+    "1.3": {"delta": 1.0, "q": 0.0, "a1": -0.25},
+    # f = x^lam, h = x^gam: k = gam - lam (m+1)/2, a2 = lam/2 (1 - lam/2)
+    "3.1": {"delta": 1.0, "k": -0.6, "a2": 0.21},
+    # f = x cos(rho ln x)^2, h = x^l |cos|^(m+1): k = l - (m+1)/2, a2 = 1/4 + rho^2
+    "3.2": {"delta": -1.0, "k": -0.5, "a2": 1.06},
+    # f = whitM^2/x, h = x^s e^(p x^2) |whitM|^(m+1): k = s + (m+1)/2
+    "4": {"delta": 1.0, "k": 2.5, "p": 0.9, "a2": 0.2},
+}
 
 
 class TestRoundTrips:
@@ -140,7 +177,9 @@ class TestRoundTrips:
         eq, _ = tables.build_initial(case, params, M)
         r = classify_initial(eq)
         assert r.case == f"T3/{case}"
-        assert params_close(r.params, params, 1e-6)
+        assert params_close(r.params, IMAGE_PARAMS.get(case, params), 1e-6)
+        for q in r.operators:
+            assert verify_lie(eq, q, n=64, tol=1e-8).passed
 
     def test_operator_bases_verify(self):
         for row, params in T1_SWEEP[:6]:
@@ -150,35 +189,74 @@ class TestRoundTrips:
                 assert verify_lie(eq, q, n=32, tol=1e-8).passed
 
 
+def classify_verified(eq: RDEquation):
+    """classify_initial, with every operator of the result checked by
+    verify_lie on the equation."""
+    r = classify_initial(eq)
+    for q in r.operators:
+        rep = verify_lie(eq, q, n=64, tol=1e-8)
+        assert rep.passed, (r.case, q, rep.max_residual)
+    return r
+
+
 class TestInitialExamples:
     def test_exponential_source(self):
         eq = RDEquation(const(1), const(1), parse("exp(x)"), 3.0, Interval(0.5, 3.0))
-        r = classify_initial(eq)
+        r = classify_verified(eq)
         assert r.case == "T3/1.1"
         assert len(r.operators) == 2
 
     def test_power_exclusion_reports_constant_case(self):
         eq = RDEquation(parse("x^2"), parse("x^2"), parse("x^4"), 3.0, DOM)
-        r = classify_initial(eq)
+        r = classify_verified(eq)
         assert r.case == "T3/2.1"
-        assert any("lambda" in n for n in r.notes)
+        assert any("to_imaged" in n for n in r.notes)
 
     def test_exp_exp_three_operators(self):
         eq = RDEquation(parse("exp(x)"), parse("exp(x)"), parse("exp(x)"), 3.0, DOM)
-        r = classify_initial(eq)
+        r = classify_verified(eq)
         assert r.case == "T3/2.2"
         assert len(r.operators) == 3
 
     def test_m2_extra_exclusions(self):
         eq = RDEquation(parse("x^8"), parse("x^8"), parse("x^12"), 2.0,
                         Interval(0.5, 1.8))
-        r = classify_initial(eq)
+        r = classify_verified(eq)
         assert r.case == "T3/2.1"
+        assert r.params == {"delta": 1.0, "q": 0.0}
+        assert any("to_double_imaged" in n for n in r.notes)
 
     def test_kernel(self):
         eq = RDEquation(parse("1 + x^2"), parse("1 + x^2"), const(1), 3.0, DOM)
+        r = classify_verified(eq)
+        assert r.case == "T3/0"
+
+    @pytest.mark.parametrize("f,h,m,lo,hi,case,count", [
+        # the image is v_t = v_xx + e^x v^3 (T1/1, a1 = 0 or -1)
+        ("x^2", "x^4*exp(x)", 3.0, 0.5, 2.5, "T3/1.1", 2),
+        ("(1+x)^2", "(1+x)^4*exp(x)", 3.0, 0.5, 2.5, "T3/1.1", 2),
+        ("cosh(x)^2", "cosh(x)^4*exp(x)", 3.0, 0.5, 2.5, "T3/1.3", 2),
+        # (lambda, gamma) = (2, m+1) and the m = 2 pairs (8, 12), (-6, -9)
+        ("x^2", "x^4", 3.0, 0.5, 2.5, "T3/2.1", 3),
+        ("x^8", "x^12", 2.0, 0.5, 1.8, "T3/2.1", 3),
+        ("x^-6", "x^-9", 2.0, 0.5, 1.8, "T3/2.1", 3),
+        # r = m is excluded from case 1.3; the image is T1/2
+        ("exp(x)", "exp(3*x)", 3.0, 0.5, 2.5, "T3/2.2", 3),
+        # the image is row 3 with k = 0
+        ("x^1.4", "x^2.8", 3.0, 0.5, 2.5, "T3/3.1", 2),
+    ])
+    def test_full_algebra_through_the_image(self, f, h, m, lo, hi, case, count):
+        eq = RDEquation(parse(f), parse(f), parse(h), m, Interval(lo, hi))
+        r = classify_verified(eq)
+        assert (r.case, len(r.operators)) == (case, count)
+
+    def test_kernel_when_the_image_cannot_be_built(self):
+        # f = |x-1| + 1 is positive on the domain, but F = -(sqrt f)_xx/sqrt f
+        # needs the sign of x - 1, which changes there
+        eq = RDEquation(parse("abs(x-1) + 1"), parse("abs(x-1) + 1"), const(1), 3.0, DOM)
         r = classify_initial(eq)
         assert r.case == "T3/0"
+        assert any(n.startswith("no image under to_imaged") for n in r.notes)
 
 
 class TestGroupInvariance:

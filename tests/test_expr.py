@@ -25,6 +25,8 @@ from rdsym.expr import (
     to_str,
     var,
 )
+from rdsym import special
+from rdsym.sampling import halton_scaled
 from conftest import central_diff
 
 BOX = {"x": (0.5, 2.5)}
@@ -323,6 +325,36 @@ class TestEvaluate:
         f = compile_expr(e, ("x",))
         for xv in (0.4, 0.9, 1.7, 2.3):
             assert abs(f((xv,)) - evaluate(e, {"x": xv})) < 1e-14
+
+
+class TestSharedSubtrees:
+    def test_repeated_whittaker_is_computed_once_per_point(self, monkeypatch):
+        calls = []
+        real = special.whittaker_m
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(special, "whittaker_m", counted)
+        w = "whitM(0.3, 0.25, 0.7*x^2)"
+        e = parse(f"{w}^2/x - (x + 1)*{w} + exp({w})*{w}")
+        f = compile_expr(e, ("x",))
+        points = halton_scaled([(0.5, 2.5)], 32)
+        values = [f(p) for p in points]
+        assert len(calls) == 32
+        assert values == [evaluate(e, {"x": p[0]}) for p in points]
+
+    def test_a_point_that_raises_keeps_no_value(self):
+        # sqrt(x - 1) occurs twice; it raises at x = 0.5
+        e = parse("sqrt(x - 1) + 1/sqrt(x - 1)")
+        f = compile_expr(e, ("x",))
+        assert f((2.0,)) == evaluate(e, {"x": 2.0})
+        bad = (0.5,)
+        for _ in range(2):
+            with pytest.raises(EvalDomainError):
+                f(bad)
+        assert f((5.0,)) == evaluate(e, {"x": 5.0})
 
 
 class TestNumEqual:

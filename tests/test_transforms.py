@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from rdsym import tables
+from rdsym.classify import classify_double_imaged
 from rdsym.expr import (
     EvalDomainError,
     compile_expr,
@@ -39,7 +40,7 @@ from rdsym.transforms import (
     map_residual_check,
     preimage_ode_residual,
     psi_from_constants,
-    pushforward_operator,
+    pullback_operator,
     pushforward_solution,
     to_double_imaged,
     to_imaged,
@@ -442,10 +443,16 @@ class TestAdditionalMaps:
                              {"delta": 1.0, "p": 0.6, "s": 0.4, "a2": 0.1})
 
 
+def cos_square_map():
+    """v = cos(x) u, the to_imaged map of f = g = cos^2 x on (0.1, 1.2)."""
+    f = parse("cos(x)^2")
+    return to_imaged(RDEquation(f, f, const(1), M, Interval(0.1, 1.2)))[1]
+
+
 class TestPushforward:
     def test_time_translation_fixed(self):
         q = VectorField(const(1), const(0), const(0), "v")
-        out = pushforward_operator(q, parse("cos(x)^2"), Interval(0.1, 1.2))
+        out = pullback_operator(q, cos_square_map())
         assert out.tau == const(1) and out.xi == const(0)
         assert num_equal(out.eta, const(0), {"x": (0.1, 1.2), "u": (0.5, 2)},
                          16, 1e-12)
@@ -454,7 +461,7 @@ class TestPushforward:
         # d_x + alpha v d_v with f=cos^2 x becomes d_x + (alpha + tan x) u d_u
         alpha = -0.4
         q = VectorField(const(0), const(1), const(alpha) * var("v"), "v")
-        out = pushforward_operator(q, parse("cos(x)^2"), Interval(0.1, 1.2))
+        out = pullback_operator(q, cos_square_map())
         want = simplify((const(alpha) + parse("tan(x)")) * var("u"))
         assert num_equal(out.eta, want, {"x": (0.1, 1.2), "u": (0.5, 2.0)},
                          48, 1e-9)
@@ -464,8 +471,27 @@ class TestPushforward:
         eq, ops = tables.build_initial("2.2", {"delta": 1.0}, M)
         img_ops = tables.imaged_operators(2, {"delta": 1.0,
                                               "q": (1 - M) / 2}, M)
-        pushed = pushforward_operator(img_ops[2], parse("exp(x)"), DOM)
+        pushed = pullback_operator(img_ops[2], to_imaged(eq)[1])
         assert verify_lie(eq, pushed, n=48).passed
+
+    def test_double_image_operators_pull_back(self):
+        # v_t = v_xx + v^2 + 2 x^-2 v; its double image (shift w = v + x^-2)
+        # is T2/3, and both T2/3 operators pull back to symmetries of it
+        eq = ImagedEquation(parse("2*x^-2"), const(1), 2.0, DOM)
+        dbl, tr = to_double_imaged(eq)
+        r = classify_double_imaged(dbl)
+        assert r.case == "T2/3" and len(r.operators) == 2
+        for q in r.operators:
+            pulled = pullback_operator(q, tr)
+            assert pulled.dep == "v"
+            assert verify_lie(eq, pulled, n=64, tol=1e-8).passed
+
+    def test_map_must_keep_t_and_x(self):
+        q = VectorField(const(1), const(0), const(0), "u")
+        tr = apply_equiv(RDEquation(const(1), const(1), const(1), M, DOM),
+                         EquivParams(delta=(1, 2.0, 0.0, 0.0, 1.0, 0)), "gauged")[1]
+        with pytest.raises(ValidationError, match="t~ = t"):
+            pullback_operator(q, tr)
 
     def test_solution_pushforward_identity(self):
         from rdsym.model import IDENTITY
