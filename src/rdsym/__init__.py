@@ -60,7 +60,7 @@ from .transforms import (
     gauge_fg,
     imaged_preimage,
     map_residual_check,
-    pullback_operator,
+    pullback_operators,
     pushforward_solution,
     to_double_imaged,
     to_imaged,

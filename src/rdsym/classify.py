@@ -40,13 +40,13 @@ from .model import (
     Interval,
     RDEquation,
     ValidationError,
-    VectorField,
     constant_on,
     require_valid,
 )
-from .transforms import image_of_valid, pullback_operator, to_double_imaged
+from .transforms import _point_map, image_of_valid, pullback_operators, to_double_imaged
 
 X = var("x")
+T = var("t")
 
 _FIT_SAMPLES = 32
 _FIT_TOL = 1e-7
@@ -170,23 +170,9 @@ def _through_double_image(eq: ImagedEquation) -> ClassificationResult | None:
         return None
     return ClassificationResult(
         "T1/2", {"delta": r.params["delta"], "q": 0.0},
-        tuple(pullback_operator(Q, tr) for Q in r.operators),
+        pullback_operators(r.operators, tr, eq.domain),
         r.notes + ("point-equivalent to T1/2 with q=0 through to_double_imaged "
                    "(w = v + F/(2H)), whose image is T2/2 with G=0",))
-
-
-def _shift_ops(ops, nu: float):
-    if nu == 0.0:
-        return tuple(ops)
-    sh = X + const(nu)
-    out = []
-    for q in ops:
-        out.append(VectorField(
-            simplify(substitute(q.tau, "x", sh)),
-            simplify(substitute(q.xi, "x", sh)),
-            simplify(substitute(q.eta, "x", sh)),
-            q.dep))
-    return tuple(out)
 
 
 def _norm_note(delta: float) -> tuple[str, ...]:
@@ -201,28 +187,32 @@ def _kernel(cls: str, dep: str, *notes: str) -> ClassificationResult:
     return ClassificationResult(f"{cls}/0", {}, (tables._dt(dep),), notes)
 
 
-def _confirmed(case: str, pairs, box: dict, params: dict, operators,
+def _confirmed(case: str, pairs, domain: Interval, params: dict, operators,
                shift: float = 0.0,
                notes: tuple[str, ...] = ()) -> ClassificationResult | None:
     """The result for a row whose templates match, else None.
 
     `pairs` holds (element, template) pairs, checked in order with
-    num_equal at _CONFIRM_TOL on 64 points up to the first failure; the
-    templates and the operators are shifted by x -> x + shift.
-    `operators` is a thunk, called only after a match.
+    num_equal at _CONFIRM_TOL on 64 points of the domain up to the first
+    failure; the templates are shifted by x -> x + shift and the operators
+    pulled back through that translation.  `operators` is a thunk, called
+    only after a match.
     """
+    box = {"x": (domain.lo, domain.hi)}
     try:
         for e, template in pairs:
             if not num_equal(e, _shifted(template, shift), box, 64, _CONFIRM_TOL):
                 return None
     except EvalDomainError:
         return None
-    out_params = dict(params)
+    out_params, ops = dict(params), operators()
     if shift != 0.0:
         out_params["nu"] = shift
         notes = notes + ("template shifted by x -> x + nu, removable by "
                          "an equivalence translation",)
-    return ClassificationResult(case, out_params, _shift_ops(operators(), shift),
+        tr = _point_map(T, X + const(shift), T, X - const(shift), const(1), dep=ops[0].dep)
+        ops = pullback_operators(ops, tr, domain)
+    return ClassificationResult(case, out_params, tuple(ops),
                                 notes + _norm_note(params["delta"]))
 
 
@@ -237,7 +227,6 @@ def _match_imaged(eq: ImagedEquation) -> ClassificationResult:
     """classify_imaged of an equation known to be valid."""
     m = eq.m
     asm = eq.assumptions()
-    box = {"x": (eq.domain.lo, eq.domain.hi)}
 
     kernel = partial(_kernel, "T1", "v")
 
@@ -251,7 +240,7 @@ def _match_imaged(eq: ImagedEquation) -> ClassificationResult:
                   notes: tuple[str, ...] = ()) -> ClassificationResult | None:
         pairs = ((eq.H, tables.imaged_H(row, params)),
                  (eq.F, tables.imaged_F(row, params, m)))
-        return _confirmed(f"T1/{row}", pairs, box, params,
+        return _confirmed(f"T1/{row}", pairs, eq.domain, params,
                           lambda: tables.imaged_operators(row, params, m), shift, notes)
 
     if p == 0.0 and k == 0.0:
@@ -331,7 +320,6 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
     """Match (H, G) against the double-imaged rows."""
     require_valid(eq)
     asm = eq.assumptions()
-    box = {"x": (eq.domain.lo, eq.domain.hi)}
     kernel = partial(_kernel, "T2", "w")
 
     try:
@@ -344,7 +332,7 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
                   notes: tuple[str, ...] = ()) -> ClassificationResult | None:
         pairs = ((eq.H, tables.double_H(row, params)),
                  (eq.G, tables.double_G(row, params)))
-        return _confirmed(f"T2/{row}", pairs, box, params,
+        return _confirmed(f"T2/{row}", pairs, eq.domain, params,
                           lambda: tables.double_operators(row, params), shift, notes)
 
     const_fit = partial(constant_on, domain=eq.domain, tol=_FIT_TOL)
@@ -355,7 +343,7 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
         if b1 is None:
             # row 3 with k=0 keeps a pole in G even though H is constant
             if q == 0.0:
-                r = _double_row3_from_G(eq, delta, box, confirmed)
+                r = _double_row3_from_G(eq, delta, confirmed)
                 if r:
                     return r
             return kernel()
@@ -409,7 +397,7 @@ def classify_double_imaged(eq: DoubleImagedEquation) -> ClassificationResult:
     return r or kernel()
 
 
-def _double_row3_from_G(eq, delta, box, confirmed):
+def _double_row3_from_G(eq, delta, confirmed):
     """Row 3 with k=0: H is constant, the pole position must be read
     off G'/G = -(k+4)/(x+nu)."""
     xs = eq.domain.samples(_FIT_SAMPLES)
@@ -435,20 +423,6 @@ def _double_row3_from_G(eq, delta, box, confirmed):
 
 # -- initial class ---------------------------------------------------------------
 
-def _t3_case(image: ClassificationResult) -> str:
-    """The T3 case of an equation whose image under to_imaged is `image`:
-    row 1 by the sign of a1 (1.1, 1.2, 1.3), row 2 by q = 0 (2.1, 2.2),
-    row 3 by a2 <= 1/4 (3.1, 3.2), rows 4-6 as cases 4-6, T1/0 as T3/0."""
-    row, pr = int(image.case.split("/")[1]), image.params
-    if row == 1:
-        return "1.1" if pr["a1"] == 0.0 else "1.2" if pr["a1"] > 0.0 else "1.3"
-    if row == 2:
-        return "2.1" if pr["q"] == 0.0 else "2.2"
-    if row == 3:
-        return "3.1" if pr["a2"] <= 0.25 + _ZERO_TOL else "3.2"
-    return str(row)
-
-
 def classify_initial(eq: RDEquation) -> ClassificationResult:
     """Classify a gauged-class equation (f=g) through its image under
     to_imaged: the T3 case is read off the image's row, the params are the
@@ -462,9 +436,10 @@ def classify_initial(eq: RDEquation) -> ClassificationResult:
     except (ExprError, ValidationError) as exc:
         return _kernel("T3", "u", f"no image under to_imaged: {exc}")
     r = _match_imaged(img)
+    row = int(r.case.split("/")[1])
+    case = tables.t3_case(row, r.params, img.m)[0] if row else "0"
     return ClassificationResult(
-        f"T3/{_t3_case(r)}", r.params,
-        tuple(pullback_operator(Q, tr) for Q in r.operators),
+        f"T3/{case}", r.params, pullback_operators(r.operators, tr, eq.domain),
         r.notes + (f"classified through its image {r.case} under to_imaged "
                    "(v = sqrt|f| u); params are the image row's",))
 

@@ -143,7 +143,10 @@ class Expr:
         return to_str(self)
 
     def __repr__(self):
-        return f"Expr({to_str(self)!r})" if self.kind != "interp" else "Expr(<interp>)"
+        try:
+            return f"Expr({to_str(self)!r})"
+        except ExprError:   # an interp table has no grammar form
+            return "Expr(<tabulated>)"
 
 
 def _lift(x) -> Expr:

@@ -20,7 +20,9 @@ from .model import (
     ImagedEquation,
     Interval,
     RDEquation,
+    ValidationError,
     VectorField,
+    sign_on,
 )
 
 X = var("x")
@@ -29,6 +31,9 @@ T = var("t")
 DEFAULT_DOMAIN = Interval(0.5, 2.5)
 # the cosine templates need a domain clear of zeros of cos
 COS_DOMAIN = Interval(0.1, 1.2)
+# the trig T4 family: zeta = c1 sin x + c2 cos x (eps = 1, c1, c2 > 0) first
+# vanishes at x = pi - atan(c2/c1), which lies beyond 1.8 while c2 < 4.2 c1
+TRIG_DOMAIN = Interval(0.5, 1.8)
 
 T1_ROWS = (1, 2, 3, 4, 5, 6)
 T2_ROWS = (1, 2, 3, 4, 5, 6)
@@ -287,6 +292,46 @@ def initial_fh(case: str, params: dict, m: float) -> tuple[Expr, Expr]:
     return simplify(f), simplify(h)
 
 
+def t3_case(row: int, params: dict, m: float) -> tuple[str, dict, float]:
+    """(case, case params, w) of the T3 case that the preimages of
+    imaged-class row `row` under to_imaged fall in: initial_fh(case, case
+    params) with x -> w x is such a preimage, its sqrt|f| solving
+    (sqrt|f|)_xx + F sqrt|f| = 0 and its h = (sqrt|f|)^(m+1) H.
+
+    Row 1 splits by the sign of a1 (1.1, 1.2, 1.3), row 2 by q = 0
+    (2.1, 2.2), row 3 by a2 <= 1/4 (3.1, 3.2); rows 4-6 are cases 4-6.
+    """
+    d = params["delta"]
+    mp1 = m + 1.0
+    if row == 1:
+        q, a1 = params["q"], params["a1"]
+        if a1 == 0.0:
+            return "1.1", {"delta": d, "q": q}, 1.0
+        w = math.sqrt(abs(a1))
+        if a1 > 0.0:
+            return "1.2", {"delta": d, "q": q / w}, w
+        return "1.3", {"delta": d, "r": (q + w * mp1) / (2.0 * w)}, 2.0 * w
+    if row == 2:
+        if params["q"] == 0.0:
+            return "2.1", {"delta": d}, 1.0
+        return "2.2", {"delta": d}, 2.0 * alpha_of(params["q"], m)
+    if row == 3:
+        k, a2 = params["k"], params["a2"]
+        if a2 <= 0.25 + 1e-9:
+            lam = 1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * a2))
+            return "3.1", {"delta": d, "lam": lam, "gam": k + lam * mp1 / 2.0}, 1.0
+        rho = math.sqrt(4.0 * a2 - 1.0) / 2.0
+        return "3.2", {"delta": d, "rho": rho, "l": k + mp1 / 2.0}, 1.0
+    if row == 4:
+        return "4", {"delta": d, "p": params["p"], "s": params["k"] - mp1 / 2.0,
+                     "a2": params["a2"]}, 1.0
+    if row == 5:
+        return "5", {"delta": d, "p": params["p"], "a3": params["a3"]}, 1.0
+    if row == 6:
+        return "6", {"delta": d, "p": params["p"]}, 1.0
+    raise ValidationError(f"unknown imaged-class row {row}")
+
+
 def initial_operators(case: str, params: dict, m: float) -> tuple[VectorField, ...]:
     u = var("u")
     one, zero = const(1), const(0)
@@ -458,9 +503,14 @@ def t4_zeta(family: str, params: dict) -> Expr:
 
 
 def t4_equation(family: str, params: dict,
-                domain: Interval = DEFAULT_DOMAIN) -> RDEquation:
-    """f u_t = (f u_x)_x + delta f^2 u^3 with f = zeta^2."""
+                domain: Interval | None = None) -> RDEquation:
+    """f u_t = (f u_x)_x + delta f^2 u^3 with f = zeta^2; zeta must keep
+    its sign on the domain (f = zeta^2 has a double zero, which sampling
+    the sign of f cannot see)."""
+    domain = domain or (TRIG_DOMAIN if family == "trig" else DEFAULT_DOMAIN)
     z = t4_zeta(family, params)
+    if sign_on(z, domain) == 0:
+        raise ValidationError(f"zeta = {z} vanishes or changes sign on {domain}")
     f = simplify(z ** 2)
     h = simplify(const(params["delta"]) * f ** 2)
     return RDEquation(f, f, h, 3.0, domain)

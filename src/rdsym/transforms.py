@@ -48,7 +48,7 @@ from .model import (
 )
 from .sampling import halton_scaled
 from .symmetry import VerificationReport, sampled_verification, total_derivative
-from .tables import alpha_of, beta_of
+from .tables import alpha_of, beta_of, initial_fh, t3_case
 
 X = var("x")
 T = var("t")
@@ -261,8 +261,9 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
         return eq, _point_map(T, X, T, X, const(1), dep=eq.dep, law="identity (f=g already)")
     s_fg = sf * sg
 
+    asm = eq.assumptions()
     ratio = simplify(const(sf) * eq.f / (const(sg) * eq.g))   # |f/g|
-    integrand = simplify(sqrt(ratio))
+    integrand = simplify(sqrt(ratio), asm)
     anti = antiderivative(integrand)
     if anti is not None:
         phi = simplify(anti - substitute(anti, "x", const(x0)) + const(x0))
@@ -289,9 +290,9 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
         phi = _hermite(xs, ys, ds, cs)
         inv = _hermite_inverse(xs, ys, ds, cs)
 
-    sqrt_fg = simplify(sqrt(simplify(const(sf) * eq.f * const(sg) * eq.g)))
+    sqrt_fg = simplify(sqrt(simplify(const(sf) * eq.f * const(sg) * eq.g)), asm)
     new_f = simplify(const(sg) * substitute(sqrt_fg, "x", inv))
-    hw = simplify(sqrt(simplify(const(sg) * eq.g / (const(sf) * eq.f))) * eq.h)
+    hw = simplify(sqrt(simplify(const(sg) * eq.g / (const(sf) * eq.f))) * eq.h, asm)
     new_h = simplify(substitute(hw, "x", inv))
 
     f_phi = compile_expr(phi, ("x",))
@@ -358,75 +359,32 @@ def _whittaker_domain(beta: float, lo: float = 0.4, hi: float = 2.4) -> Interval
 
 def imaged_preimage(row: int, params: dict, m: float,
                     domain: Interval | None = None) -> RDEquation:
-    """A gauged-class preimage (f, h) of an imaged-class row: solves
-    (sqrt|f|)_xx + F sqrt|f| = 0 in closed form and sets
-    h = (sqrt|f|)^(m+1) H."""
-    d = params["delta"]
-    mp1 = m + 1.0
-    if row in (1, 2):
-        q = params["q"]
-        a1 = params["a1"] if row == 1 else -alpha_of(q, m) ** 2
-        if a1 == 0.0:
-            f: Expr = const(1)
-            root: Expr = const(1)
-            dom = domain or Interval(0.5, 2.5)
-        elif a1 > 0.0:
-            w = math.sqrt(a1)
-            root = func("cos", const(w) * X)
-            f = root ** 2
-            dom = domain or Interval(0.1, 1.35 / w)
-        else:
-            w = math.sqrt(-a1)
-            root = exp(const(w) * X)
-            f = exp(const(2 * w) * X)
-            dom = domain or Interval(0.5, 2.5)
-        habs = func("abs", root) if a1 > 0.0 else root
-        h = const(d) * exp(const(q) * X) * habs ** mp1
-        return RDEquation(simplify(f), simplify(f), simplify(h), m, dom)
-    if row == 3:
-        k, a2 = params["k"], params["a2"]
-        if a2 <= 0.25:
-            lam = 1.0 + math.sqrt(1.0 - 4.0 * a2)
-            f = pow_(X, const(lam))
-            h = const(d) * pow_(X, const(k + lam * mp1 / 2.0))
-            dom = domain or Interval(0.5, 2.5)
-        else:
-            rho = math.sqrt(4.0 * a2 - 1.0) / 2.0
-            c = func("cos", const(rho) * ln(X))
-            f = X * c ** 2
-            h = const(d) * pow_(X, const(k + mp1 / 2.0)) * func("abs", c) ** mp1
-            span = 1.2 / rho
-            dom = domain or Interval(max(0.35, math.exp(-span)), min(2.8, math.exp(span)))
-        return RDEquation(simplify(f), simplify(f), simplify(h), m, dom)
-    # Whittaker rows
-    p = params["p"]
-    b = beta_of(p, m)
-    if b <= 0.0:
-        raise UnsupportedBranch(
-            "beta=2p/(m-1) must be positive: the negative-argument Whittaker "
-            "branch is not implemented")
-    if row == 4:
-        k, a2 = params["k"], params["a2"]
-        if a2 > 0.25:
+    """A gauged-class preimage of an imaged-class row: the T3 case of
+    tables.t3_case, initial_fh(case) with x -> w x."""
+    if row in (4, 5, 6):
+        if beta_of(params["p"], m) <= 0.0:
+            raise UnsupportedBranch(
+                "beta=2p/(m-1) must be positive: the negative-argument Whittaker "
+                "branch is not implemented")
+        if row == 4 and params["a2"] > 0.25:
             raise UnsupportedBranch(
                 "a2>1/4 needs the oscillatory-index Whittaker branch, "
                 "which the real kernel does not cover")
-        s = k - mp1 / 2.0
-        kap = (s + 3.0) / (2.0 * (1.0 - m))
-        mu = math.sqrt(1.0 - 4.0 * a2) / 4.0
-    elif row == 5:
-        s = -mp1 / 2.0
-        kap, mu = params["a3"] / 4.0, 0.25
-    elif row == 6:
-        s = -mp1 / 2.0
-        kap, mu = (5.0 - m) / (4.0 * (1.0 - m)), 0.25
-    else:
-        raise ValidationError(f"unknown imaged-class row {row}")
-    w = func("whitM", const(kap), const(mu), const(b) * X ** 2)
-    f = X ** -1.0 * w ** 2
-    h = const(d) * pow_(X, const(s)) * exp(const(p) * X ** 2) * func("abs", w) ** mp1
-    return RDEquation(simplify(f), simplify(f), simplify(h), m,
-                      domain or _whittaker_domain(b))
+    case, pr, w = t3_case(row, params, m)
+    f, h = initial_fh(case, pr, m)
+    if w != 1.0:
+        f, h = (simplify(substitute(e, "x", const(w) * X)) for e in (f, h))
+    if domain is None:
+        if case == "1.2":
+            domain = Interval(0.1, 1.35 / w)
+        elif case == "3.2":
+            span = 1.2 / pr["rho"]
+            domain = Interval(max(0.35, math.exp(-span)), min(2.8, math.exp(span)))
+        elif case in ("4", "5", "6"):
+            domain = _whittaker_domain(beta_of(pr["p"], m))
+        else:
+            domain = Interval(0.5, 2.5)
+    return RDEquation(f, f, h, m, domain)
 
 
 def preimage_ode_residual(eq: RDEquation, F: Expr, n: int = 64) -> float:
@@ -843,42 +801,36 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         target = DoubleImagedEquation(H_new, G_new, tgt_dom)
         return AdditionalMap(which, eq, target, tr, tgt_case, tgt_params)
 
-    # initial-class maps
+    # initial-class maps; the targets are rows of tables.initial_fh
     assert isinstance(eq, RDEquation)
     m = eq.m
-    from .tables import initial_fh
+    if which == "initial:4->3.2":
+        raise UnsupportedBranch(
+            "initial:4->3.2 needs the oscillatory branch a2>1/4 of case 4, "
+            "which the real Whittaker kernel does not cover")
 
-    def check_source(case: str, pr: dict):
-        f_t, h_t = initial_fh(case, pr, m)
+    def check_source(case: str, *names: str):
+        f_t, h_t = initial_fh(case, {n: params[n] for n in ("delta",) + names}, m)
         must_match(eq.f, f_t, f"T3/{case} f")
         must_match(eq.h, h_t, f"T3/{case} h")
 
+    d = params["delta"]
     if which == "initial:2.2->2.1":
-        d = params["delta"]
-        check_source("2.2", {"delta": d})
+        check_source("2.2")
         tr = _point_map(T, X + T, T, X - T, const(1))
-        target = RDEquation(const(1), const(1), const(d), m,
-                            _image_domain(eq.domain, tr), "u")
-        return AdditionalMap(which, eq, target, tr, "T3/2.1", {"delta": d})
-
-    if which == "initial:1.2->1.1":
-        d, q = params["delta"], params["q"]
-        check_source("1.2", {"delta": d, "q": q})
+        tgt_case, tgt_params = "2.1", {"delta": d}
+    elif which == "initial:1.2->1.1":
+        check_source("1.2", "q")
+        q = params["q"]
         qt = math.sqrt(q * q + (m - 1.0) ** 2)
         sig = (q - qt) / (1.0 - m)
         tr = _scaled_drift_map(qt, sig, const(qt ** (2.0 / (1.0 - m)))
                                * exp(const(-sig) * X - const(1 + sig ** 2) * T)
                                * func("cos", X))
-        tgt_dom = _image_domain(eq.domain, tr)
-        target = RDEquation(const(1), const(1),
-                            simplify(const(d) * exp(X)), m, tgt_dom, "u")
-        return AdditionalMap(which, eq, target, tr, "T3/1.1",
-                             {"delta": d, "q": 1.0})
-
-    if which == "initial:1.3->1.1":
-        d, r = params["delta"], params["r"]
-        check_source("1.3", {"delta": d, "r": r})
-        q = r - (m + 1.0) / 2.0
+        tgt_case, tgt_params = "1.1", {"delta": d, "q": 1.0}
+    elif which == "initial:1.3->1.1":
+        check_source("1.3", "r")
+        q = params["r"] - (m + 1.0) / 2.0
         disc = q * q - (m - 1.0) ** 2 / 4.0
         if disc < 0.0:
             raise ValidationError("this branch needs 4 alpha^2 >= 1; "
@@ -887,70 +839,47 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
         sig = (q - qt) / (1.0 - m)
         tr = _scaled_drift_map(qt, sig, const(qt ** (2.0 / (1.0 - m)))
                                * exp(const(0.5 - sig) * X + const(0.25 - sig ** 2) * T))
-        tgt_dom = _image_domain(eq.domain, tr)
-        target = RDEquation(const(1), const(1), simplify(const(d) * exp(X)),
-                            m, tgt_dom, "u")
-        return AdditionalMap(which, eq, target, tr, "T3/1.1", {"delta": d, "q": 1.0})
-
-    if which == "initial:1.3->1.3":
-        d, r = params["delta"], params["r"]
-        check_source("1.3", {"delta": d, "r": r})
-        q = r - (m + 1.0) / 2.0
-        a = alpha_of(q, m)
+        tgt_case, tgt_params = "1.1", {"delta": d, "q": 1.0}
+    elif which == "initial:1.3->1.3":
+        check_source("1.3", "r")
+        a = alpha_of(params["r"] - (m + 1.0) / 2.0, m)
         if 4.0 * a * a >= 1.0:
             raise ValidationError("this branch needs 4 alpha^2 < 1; "
                                   "use initial:1.3->1.1 instead")
         nu = math.sqrt(1.0 - 4.0 * a * a)
         tr = _scaled_drift_map(nu, a, const(nu ** (2.0 / (1.0 - m)))
                                * exp(const(0.5 - a - nu / 2.0) * X - const(a * nu) * T))
-        tgt_dom = _image_domain(eq.domain, tr)
-        r_t = (m + 1.0) / 2.0
-        target = RDEquation(exp(X), exp(X),
-                            simplify(const(d) * exp(const(r_t) * X)), m, tgt_dom, "u")
-        return AdditionalMap(which, eq, target, tr, "T3/1.3",
-                             {"delta": d, "r": r_t})
-
-    if which in ("initial:4->3.1", "initial:4->3.2"):
-        if which == "initial:4->3.2":
-            raise UnsupportedBranch(
-                "initial:4->3.2 needs the oscillatory branch a2>1/4 of case 4, "
-                "which the real Whittaker kernel does not cover")
-        d, p, s, a2 = params["delta"], params["p"], params["s"], params["a2"]
-        check_source("4", {"delta": d, "p": p, "s": s, "a2": a2})
-        b = beta_of(p, m)
-        mu1 = math.sqrt(1.0 - 4.0 * a2) / 4.0
+        tgt_case, tgt_params = "1.3", {"delta": d, "r": (m + 1.0) / 2.0}
+    elif which == "initial:4->3.1":
+        check_source("4", "p", "s", "a2")
+        b, s = beta_of(params["p"], m), params["s"]
+        mu1 = math.sqrt(1.0 - 4.0 * params["a2"]) / 4.0
         kap1 = (s + 3.0) / (2.0 * (1.0 - m))
-        lam = 1.0 + 4.0 * mu1
-        gam = s + (m + 1.0) * (1.0 + 2.0 * mu1)
         f1 = func("whitM", const(kap1), const(mu1), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(2 * b * (1 + 2 * mu1 - 2 * kap1)) * T)
                * f1 / pow_(X, const(1 + 2 * mu1)))
         tr = _point_map(*_exp_coords(b), mul)
-        tgt_dom = _image_domain(eq.domain, tr)
-        f_t = pow_(X, const(lam))
-        h_shape = pow_(X, const(gam))
-        target0 = RDEquation(f_t, f_t, h_shape, m, tgt_dom, "u")
-        d_t = _extract_scale(eq, tr, target0, h_shape)
-        target = RDEquation(f_t, f_t, simplify(const(d_t) * h_shape), m, tgt_dom, "u")
-        return AdditionalMap(which, eq, target, tr, "T3/3.1",
-                             {"delta": d_t, "lam": lam, "gam": gam})
-
-    if which == "initial:6->2.1":
-        d, p = params["delta"], params["p"]
-        check_source("6", {"delta": d, "p": p})
-        b = beta_of(p, m)
+        tgt_case, tgt_params = "3.1", {"delta": 1.0, "lam": 1.0 + 4.0 * mu1,
+                                       "gam": s + (m + 1.0) * (1.0 + 2.0 * mu1)}
+    else:  # initial:6->2.1
+        check_source("6", "p")
+        b = beta_of(params["p"], m)
         kap3 = (5.0 - m) / (4.0 * (1.0 - m))
         w = func("whitM", const(kap3), const(0.25), const(b) * X ** 2)
         mul = (exp(const(b / 2) * X ** 2 + const(4 * b / (m - 1.0)) * T)
                * w / sqrt(func("abs", X)))
         tr = _point_map(*_exp_coords(b), mul)
-        tgt_dom = _image_domain(eq.domain, tr)
-        target0 = RDEquation(const(1), const(1), const(1), m, tgt_dom, "u")
-        d_t = _extract_scale(eq, tr, target0, const(1))
-        target = RDEquation(const(1), const(1), const(d_t), m, tgt_dom, "u")
-        return AdditionalMap(which, eq, target, tr, "T3/2.1", {"delta": d_t})
+        tgt_case, tgt_params = "2.1", {"delta": 1.0}
+    tgt_dom = _image_domain(eq.domain, tr)
 
-    raise ValidationError(f"unhandled map {which!r}")  # pragma: no cover
+    def target() -> RDEquation:
+        f_t, h_t = initial_fh(tgt_case, tgt_params, m)
+        return RDEquation(f_t, f_t, h_t, m, tgt_dom, "u")
+
+    if which in ("initial:4->3.1", "initial:6->2.1"):
+        # delta~ is read off the image of the unit-delta target
+        tgt_params["delta"] = _extract_scale(eq, tr, target())
+    return AdditionalMap(which, eq, target(), tr, f"T3/{tgt_case}", tgt_params)
 
 
 def _image_domain(domain: Interval, tr: PointTransformation,
@@ -966,7 +895,7 @@ def _image_domain(domain: Interval, tr: PointTransformation,
 
 
 def _extract_scale(src: RDEquation, tr: PointTransformation,
-                   target_shape: RDEquation, h_shape: Expr) -> float:
+                   target_shape: RDEquation) -> float:
     """Determine the target h-scale by lifting the map to the imaged
     level: delta~ = H~ / (h-shape mapped through v~ = sqrt|f~| u~)."""
     img, _ = to_imaged(src)
@@ -975,7 +904,7 @@ def _extract_scale(src: RDEquation, tr: PointTransformation,
     dom = target_shape.domain
     H_new = strip_time_dependence(H_new, dom)
     r, s, _ = sqrt_resolved(target_shape.f, dom)
-    shape_H = simplify(h_shape * const(s) / pow_(r, const(src.m + 1.0)))
+    shape_H = simplify(target_shape.h * const(s) / pow_(r, const(src.m + 1.0)))
     return _match_template(H_new, shape_H, dom, "target h scale")
 
 
@@ -993,23 +922,35 @@ def tr_imaged_from_initial(tr: PointTransformation, src: RDEquation,
 
 # -- operator pullback, solution push-forward ------------------------------------
 
-def pullback_operator(Q: VectorField, tr: PointTransformation) -> VectorField:
-    """Pull an operator of the target equation back through a map with
-    t~ = t, x~ = x, dep~ = V(t, x, dep):  tau = tau~∘V, xi = xi~∘V and
-    eta = (eta~∘V - tau V_t - xi V_x)/V_dep, where ∘V puts V in place of
-    the new dependent variable."""
-    if tr.T != T or tr.X != X:
-        raise ValidationError("the operator pullback needs a map with t~ = t, x~ = x")
-    if Q.dep != tr.new_dep:
-        raise ValidationError(f"operator acts on {Q.dep!r}, the map yields {tr.new_dep!r}")
-    V = tr.V
+def pullback_operators(ops, tr: PointTransformation,
+                       domain: Interval) -> tuple[VectorField, ...]:
+    """Pull operators of the target equation back through a map with
+    t~ = T(t), x~ = X(t, x), dep~ = V(t, x, dep) on the source domain:
 
-    def on_V(e: Expr) -> Expr:
-        return substitute(e, Q.dep, V)
+        tau = tau~∘Φ / T_t
+        xi  = (xi~∘Φ - tau X_t) / X_x
+        eta = (eta~∘Φ - tau V_t - xi V_x) / V_dep
 
-    tau, xi = simplify(on_V(Q.tau)), simplify(on_V(Q.xi))
-    eta = (on_V(Q.eta) - tau * diff(V, "t") - xi * diff(V, "x")) / diff(V, tr.dep)
-    return VectorField(tau, xi, simplify(eta), tr.dep)
+    where ∘Φ puts (T, X, V) in place of the new variables.  The map is
+    differentiated once for all operators, under the signs of the domain."""
+    t_vars = free_variables(tr.T)
+    if "x" in t_vars or tr.dep in t_vars | free_variables(tr.X):
+        raise ValidationError("the operator pullback needs t~ = T(t) and "
+                              "x~ = X(t, x)")
+    asm = inferred_assumptions((tr.T, tr.X, tr.V), domain)
+    T_t, X_t, X_x, V_t, V_x, V_dep = (
+        simplify(diff(e, n, asm)) for e, n in
+        ((tr.T, "t"), (tr.X, "t"), (tr.X, "x"), (tr.V, "t"), (tr.V, "x"), (tr.V, tr.dep)))
+    phi = {"t": tr.T, "x": tr.X, tr.new_dep: tr.V}
+    out = []
+    for Q in ops:
+        if Q.dep != tr.new_dep:
+            raise ValidationError(f"operator acts on {Q.dep!r}, the map yields {tr.new_dep!r}")
+        tau = simplify(substitute(Q.tau, phi) / T_t)
+        xi = simplify((substitute(Q.xi, phi) - tau * X_t) / X_x)
+        eta = simplify((substitute(Q.eta, phi) - tau * V_t - xi * V_x) / V_dep)
+        out.append(VectorField(tau, xi, eta, tr.dep))
+    return tuple(out)
 
 
 def pushforward_solution(sol: Expr, tr: PointTransformation) -> Expr:

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from rdsym import solutions as sol
 from rdsym import tables
-from rdsym.classify import classify_admissible, classify_imaged
+from rdsym.classify import classify, classify_admissible, classify_imaged
 from rdsym.expr import const, max_deviation, num_equal, parse, pow_, simplify, var
 from rdsym.model import AdmissibleForm, EquivParams
 from rdsym.sampling import halton_points
@@ -71,6 +71,7 @@ def test_criterion_1_table_consistency():
     start = time.time()
     worst = 0.0
     ok = True
+    wrong_cases = []
     for case in tables.T3_CASES:
         pts = halton_points(4, 5)
         for row, params in _t1_samples_for_t3_case(case, pts):
@@ -81,10 +82,14 @@ def test_criterion_1_table_consistency():
             dH = max_deviation(img.H, tables.imaged_H(row, params), box, 64)
             worst = max(worst, dF, dH)
             ok = ok and dF <= 1e-9 and dH <= 1e-9
+            got = classify(pre).case
+            if got != f"T3/{case}":
+                wrong_cases.append((case, got))
     elapsed = time.time() - start
-    _report(1, "preimage/image chain matches the imaged templates",
-            ok and elapsed < 10.0,
-            f"max deviation {worst:.2e}, {elapsed:.1f}s")
+    _report(1, "preimage/image chain matches the imaged templates and the "
+               "preimage classifies as its T3 case",
+            ok and not wrong_cases and elapsed < 10.0,
+            f"max deviation {worst:.2e}, wrong cases {wrong_cases}, {elapsed:.1f}s")
 
 
 # -- criterion 2: Lie-symmetry suite -------------------------------------------

@@ -193,3 +193,14 @@ def test_map_numeric_fallback_serializes(capsys):
     assert code == 0
     data = json.loads(out)
     assert "<tabulated>" in json.dumps(data)
+
+
+def test_map_gauge_with_a_sign_fixed_by_the_domain(capsys):
+    # sqrt(f/g) = sqrt(x^2) is x on x > 0
+    code = main(["map", "--to", "gauged", "--f", "x^2", "--g", "1",
+                 "--h", "x^4", "--m", "2", "--domain", "x:0.5..2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    data = json.loads(out)
+    assert data["equation"]["f"] == data["equation"]["g"]
+    assert "abs" not in data["equation"]["f"]

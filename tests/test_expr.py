@@ -271,6 +271,14 @@ class TestHashContract:
         assert {a: 1}[b] == 1
         assert diff(a, "x") != a
 
+    def test_repr_of_a_table_never_raises(self):
+        from rdsym.transforms import _hermite
+
+        table = _hermite([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [0.0, 2.0, 4.0],
+                         [2.0, 2.0, 2.0])
+        assert repr(table) == repr(const(2) * table) == "Expr(<tabulated>)"
+        assert repr(parse("x + 1")) == "Expr('x + 1')"
+
     def test_signed_zero(self):
         assert const(0.0) == const(-0.0)
         assert hash(const(0.0)) == hash(const(-0.0))

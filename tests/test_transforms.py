@@ -21,6 +21,7 @@ from rdsym.model import (
     EquivParams,
     ImagedEquation,
     Interval,
+    PointTransformation,
     RDEquation,
     ValidationError,
     VectorField,
@@ -40,7 +41,7 @@ from rdsym.transforms import (
     map_residual_check,
     preimage_ode_residual,
     psi_from_constants,
-    pullback_operator,
+    pullback_operators,
     pushforward_solution,
     to_double_imaged,
     to_imaged,
@@ -100,6 +101,14 @@ class TestGauge:
         assert rep.passed, rep.max_residual
         assert_round_trip(tr, eq.domain)
 
+    def test_sign_fixed_by_the_domain(self):
+        # sqrt(f/g) = sqrt(x^2) is x on x > 0, which the rule table integrates
+        eq = RDEquation(parse("x^2"), const(1), parse("x^4"), 2.0, Interval(0.5, 2.0))
+        new, tr = gauge_fg(eq, 1.0)
+        assert map_residual_check(eq, new, tr, n=64).passed
+        bad = replace(tr, V=tr.V * (1 + 0.01 * var("x")))
+        assert not map_residual_check(eq, new, bad, n=64).passed
+
     def test_rule_table(self):
         assert antiderivative(parse("exp(2*x)")) is not None
         assert antiderivative(parse("x^3")) is not None
@@ -139,6 +148,23 @@ class TestToImaged:
         eq = RDEquation(parse("exp(x)"), const(1), const(1), M, DOM)
         with pytest.raises(ValidationError):
             to_imaged(eq)
+
+    @pytest.mark.parametrize("family,c1,eps", [
+        ("linear", 0.8, 0.0), ("trig", 0.5, 1.0), ("hyperbolic", 0.3, -1.0)])
+    @pytest.mark.parametrize("delta", [-1.0, 1.0])
+    def test_t4_equations(self, family, c1, eps, delta):
+        # f = zeta^2 with zeta'' = -eps zeta maps onto v_t = v_xx + delta v^3 + eps v
+        eq = tables.t4_equation(family, {"c1": c1, "c2": 1.0, "eps": eps, "delta": delta})
+        img, tr = to_imaged(eq)
+        assert num_equal(img.F, const(eps), box_of(eq), 64, 1e-9)
+        assert num_equal(img.H, const(delta), box_of(eq), 64, 1e-9)
+        assert map_residual_check(eq, img, tr, n=48).passed
+
+    def test_t4_zeta_must_keep_its_sign(self):
+        # zeta = 0.5 sin x + cos x vanishes at x = 2.03, a double zero of f
+        pr = {"c1": 0.5, "c2": 1.0, "eps": 1.0, "delta": -1.0}
+        with pytest.raises(ValidationError, match="zeta"):
+            tables.t4_equation("trig", pr, DOM)
 
 
 class TestToDoubleImaged:
@@ -357,6 +383,15 @@ INITIAL_CASES = [
     ("initial:6->2.1", "6", {"delta": 1.0, "p": 0.6}, {"t": (0.1, 0.8)}),
 ]
 
+# class -> (builder of a row's equation and basis, table operators of a row)
+BUILDERS = {
+    "imaged": (lambda row, pr: tables.build_imaged(row, pr, M),
+               lambda row, pr: tables.imaged_operators(int(row), pr, M)),
+    "double": (tables.build_double, lambda row, pr: tables.double_operators(int(row), pr)),
+    "initial": (lambda case, pr: tables.build_initial(case, pr, M),
+                lambda case, pr: tables.initial_operators(case, pr, M)),
+}
+
 # maps that raise UnsupportedBranch and so have no transformation to invert
 UNSUPPORTED_MAPS = {"initial:4->3.2"}
 
@@ -435,6 +470,21 @@ class TestAdditionalMaps:
         with pytest.raises(ValidationError):
             apply_additional(eq, "imaged:2->2", {"delta": 1.0, "q": 1.0})
 
+    @pytest.mark.parametrize("which,row,params,tbox",
+                             ADDITIONAL_CASES + DOUBLE_CASES + INITIAL_CASES)
+    def test_target_operators_pull_back_to_symmetries(self, which, row, params, tbox):
+        # the target row's table operators, pulled back through the map, are
+        # symmetries of the source, as many as the source row's basis
+        build, operators = BUILDERS[which.split(":")[0]]
+        eq, basis = build(row, params)
+        am = apply_additional(eq, which, params)
+        target_ops = operators(am.target_case.split("/")[1], am.target_params)
+        pulled = pullback_operators(target_ops, am.transformation, eq.domain)
+        assert len(pulled) == len(basis)
+        for q in pulled:
+            rep = verify_lie(eq, q, n=64, tol=1e-8, box=tbox)
+            assert rep.passed, (which, rep.max_residual)
+
     def test_oscillatory_initial_map_rejected(self):
         eq, _ = tables.build_initial("4", {"delta": 1.0, "p": 0.6, "s": 0.4,
                                            "a2": 0.1}, M)
@@ -443,16 +493,19 @@ class TestAdditionalMaps:
                              {"delta": 1.0, "p": 0.6, "s": 0.4, "a2": 0.1})
 
 
+COS_DOM = Interval(0.1, 1.2)
+
+
 def cos_square_map():
     """v = cos(x) u, the to_imaged map of f = g = cos^2 x on (0.1, 1.2)."""
     f = parse("cos(x)^2")
-    return to_imaged(RDEquation(f, f, const(1), M, Interval(0.1, 1.2)))[1]
+    return to_imaged(RDEquation(f, f, const(1), M, COS_DOM))[1]
 
 
 class TestPushforward:
     def test_time_translation_fixed(self):
         q = VectorField(const(1), const(0), const(0), "v")
-        out = pullback_operator(q, cos_square_map())
+        (out,) = pullback_operators([q], cos_square_map(), COS_DOM)
         assert out.tau == const(1) and out.xi == const(0)
         assert num_equal(out.eta, const(0), {"x": (0.1, 1.2), "u": (0.5, 2)},
                          16, 1e-12)
@@ -461,7 +514,7 @@ class TestPushforward:
         # d_x + alpha v d_v with f=cos^2 x becomes d_x + (alpha + tan x) u d_u
         alpha = -0.4
         q = VectorField(const(0), const(1), const(alpha) * var("v"), "v")
-        out = pullback_operator(q, cos_square_map())
+        (out,) = pullback_operators([q], cos_square_map(), COS_DOM)
         want = simplify((const(alpha) + parse("tan(x)")) * var("u"))
         assert num_equal(out.eta, want, {"x": (0.1, 1.2), "u": (0.5, 2.0)},
                          48, 1e-9)
@@ -471,7 +524,7 @@ class TestPushforward:
         eq, ops = tables.build_initial("2.2", {"delta": 1.0}, M)
         img_ops = tables.imaged_operators(2, {"delta": 1.0,
                                               "q": (1 - M) / 2}, M)
-        pushed = pullback_operator(img_ops[2], to_imaged(eq)[1])
+        (pushed,) = pullback_operators(img_ops[2:], to_imaged(eq)[1], eq.domain)
         assert verify_lie(eq, pushed, n=48).passed
 
     def test_double_image_operators_pull_back(self):
@@ -481,17 +534,17 @@ class TestPushforward:
         dbl, tr = to_double_imaged(eq)
         r = classify_double_imaged(dbl)
         assert r.case == "T2/3" and len(r.operators) == 2
-        for q in r.operators:
-            pulled = pullback_operator(q, tr)
+        for pulled in pullback_operators(r.operators, tr, eq.domain):
             assert pulled.dep == "v"
             assert verify_lie(eq, pulled, n=64, tol=1e-8).passed
 
-    def test_map_must_keep_t_and_x(self):
+    @pytest.mark.parametrize("new_t,new_x", [("t + x", "x"), ("t*u", "x"), ("t", "x + u")])
+    def test_map_must_keep_time_apart(self, new_t, new_x):
+        # t~ may depend on t alone and x~ on (t, x) alone
         q = VectorField(const(1), const(0), const(0), "u")
-        tr = apply_equiv(RDEquation(const(1), const(1), const(1), M, DOM),
-                         EquivParams(delta=(1, 2.0, 0.0, 0.0, 1.0, 0)), "gauged")[1]
-        with pytest.raises(ValidationError, match="t~ = t"):
-            pullback_operator(q, tr)
+        tr = PointTransformation(parse(new_t), parse(new_x), var("u"))
+        with pytest.raises(ValidationError, match="T\\(t\\)"):
+            pullback_operators([q], tr, DOM)
 
     def test_solution_pushforward_identity(self):
         from rdsym.model import IDENTITY
