@@ -21,9 +21,9 @@ from .expr import (
     Expr,
     EvalDomainError,
     ExprError,
-    compile_expr,
     const,
     diff,
+    evaluate_points,
     exp,
     num_equal,
     pow_,
@@ -55,14 +55,9 @@ _ZERO_TOL = 1e-9
 
 
 def _eval_many(e: Expr, xs: list[float]) -> list[float] | None:
-    fn = compile_expr(e, ("x",))
-    out = []
-    for xv in xs:
-        try:
-            out.append(fn((xv,)))
-        except EvalDomainError:
-            return None
-    return out
+    """Values at the samples xs, or None when one is undefined."""
+    (vals,), ok = evaluate_points([e], ("x",), xs)
+    return vals.tolist() if ok.all() else None
 
 
 def _lstsq(rows: list[list[float]], rhs: list[float]) -> tuple[np.ndarray, float]:

@@ -2,8 +2,9 @@
 
 Small scalar language over real-valued functions of named variables:
 parsing, exact differentiation, capture-free substitution, a confluent
-rule-table simplifier and fast numeric evaluation.  Semantic equality is
-numeric (`num_equal`), not canonical-form based.
+rule-table simplifier and numeric evaluation (scalar and batched, with one
+domain rule).  Semantic equality is numeric (`num_equal`), not
+canonical-form based.
 
 Grammar (EBNF)::
 
@@ -23,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from . import special
 from .sampling import halton_scaled
@@ -57,9 +60,6 @@ FUNCTIONS = {
     "whitM": 3,
     "sn": 2, "cn": 2, "dn": 2, "ds": 2, "sd": 2,
 }
-
-_BINOPS = ("add", "sub", "mul", "div", "pow")
-
 
 @dataclass(frozen=True, slots=True)
 class Expr:
@@ -928,6 +928,15 @@ def simplify(e: Expr, assumptions: Iterable = ()) -> Expr:
 
 
 # -- evaluation ------------------------------------------------------------
+#
+# Two evaluators share one domain rule.  `compile_expr` is the scalar path
+# for point-by-point callers; `evaluate_points` computes whole trees over
+# all points of a check in one numpy pass.  A point is outside the domain
+# when a node divides by zero, a power has no real value or overflows, a
+# call (ln and sqrt out of range, a kernel's domain error, pole or missing
+# convergence, a tabulated function queried outside its knots) gives a
+# non-finite value, or the final value is not finite.  Other intermediate
+# values may be infinite.
 
 def _pow(base: float, expo: float) -> float:
     try:
@@ -955,7 +964,10 @@ def _pow(base: float, expo: float) -> float:
 
 def _interp_eval(data: tuple, t: float) -> float:
     xs, coeffs, order = data
-    return special.hermite_eval(xs, coeffs, t, order)
+    try:
+        return special.hermite_eval(xs, coeffs, t, order)
+    except special.SpecialFunctionError as exc:
+        raise EvalDomainError(str(exc)) from exc
 
 
 _MATH_1 = {
@@ -964,6 +976,8 @@ _MATH_1 = {
     "abs": abs, "erf": special.erf,
     "sign": lambda x: (x > 0) - (x < 0) + 0.0,
 }
+
+_ELLIPTIC = ("sn", "cn", "dn", "ds", "sd")
 
 
 def _call_value(name: str, vals: list[float]) -> float:
@@ -981,7 +995,7 @@ def _call_value(name: str, vals: list[float]) -> float:
         elif name == "whitM":
             r = special.whittaker_m(vals[0], vals[1], vals[2])
         elif name in ("sn", "cn", "dn"):
-            r = special.jacobi(vals[0], vals[1])[("sn", "cn", "dn").index(name)]
+            r = special.jacobi(vals[0], vals[1])[_ELLIPTIC.index(name)]
         elif name == "ds":
             r = special.ds(vals[0], vals[1])
         elif name == "sd":
@@ -1000,51 +1014,22 @@ def _call_value(name: str, vals: list[float]) -> float:
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at a point binding every free variable; IEEE-double result.
 
-    Raises EvalDomainError outside the function's real domain and
-    ExprError on a missing binding.
+    A one-point call of `compile_expr`: raises EvalDomainError outside the
+    function's real domain and ExprError on a missing binding.
     """
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k in ("var", "param"):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise ExprError(f"no binding for variable {e.name!r}") from None
-    if k == "neg":
-        return -evaluate(e.args[0], point)
-    if k in _BINOPS:
-        a = evaluate(e.args[0], point)
-        b = evaluate(e.args[1], point)
-        if k == "add":
-            r = a + b
-        elif k == "sub":
-            r = a - b
-        elif k == "mul":
-            r = a * b
-        elif k == "div":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            r = a / b
-        else:
-            r = _pow(a, b)
-        if not math.isfinite(r):
-            raise EvalDomainError("non-finite intermediate value")
-        return r
-    if k == "call":
-        return _call_value(e.name, [evaluate(a, point) for a in e.args])
-    if k == "interp":
-        return _interp_eval(e.data, evaluate(e.args[0], point))
-    raise ExprError(f"cannot evaluate node kind {k!r}")
+    names = tuple(point)
+    return compile_expr(e, names)(tuple(float(point[nm]) for nm in names))
 
 
 def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     """Compile to a fast callable f(values_tuple) -> float.
 
-    Same domain semantics as `evaluate`; used by the sampling loops.  A
-    non-leaf node that occurs more than once in the tree is computed once
-    per point: its closure keeps the last point object and its value, so
-    a point must be a tuple (or never changed in place once passed).
+    The scalar evaluator, for callers that choose each point from the last
+    (quadrature, probes); `evaluate_points` is the batch one, with the
+    same domain rule.  A non-leaf node that occurs more than once in the
+    tree is computed once per point: its closure keeps the last point
+    object and its value, so a point must be a tuple (or never changed in
+    place once passed).
     """
     index = {n: i for i, n in enumerate(names)}
     seen: dict[Expr, int] = {}
@@ -1146,6 +1131,141 @@ def _once_per_point(f: Callable) -> Callable:
     return g
 
 
+_ARRAY_1 = {
+    "exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh, "abs": np.abs,
+    "ln": np.log, "sqrt": np.sqrt,   # NaN or -inf outside the domain
+}
+
+
+class _Batch:
+    """One numpy pass over a fixed point set.  Every distinct node is
+    computed once, whichever tree it occurs in; `bad` collects the points
+    at which any node left the domain."""
+
+    def __init__(self, names: tuple[str, ...], points):
+        pts = _point_array(points, len(names))
+        self.columns = {nm: np.ascontiguousarray(pts[:, i]) for i, nm in enumerate(names)}
+        self.n = len(pts)
+        self.memo: dict[Expr, np.ndarray] = {}
+        self.triples: dict[tuple[Expr, Expr], tuple] = {}
+        self.bad = np.zeros(self.n, dtype=bool)
+
+    def values(self, exprs: list[Expr]) -> tuple[np.ndarray, np.ndarray]:
+        """(values[k, n], ok[n]) of the expressions; ok covers every
+        expression this batch has evaluated so far."""
+        values = np.empty((len(exprs), self.n))
+        with np.errstate(all="ignore"):
+            for i, e in enumerate(exprs):
+                values[i] = self.value(e)
+            return values, ~self.bad & np.isfinite(values).all(axis=0)
+
+    def value(self, e: Expr) -> np.ndarray:
+        v = self.memo.get(e)
+        if v is None:
+            v = self.memo[e] = self._node(e)
+        return v
+
+    def _finite(self, r: np.ndarray) -> np.ndarray:
+        self.bad |= ~np.isfinite(r)
+        return r
+
+    def _node(self, e: Expr) -> np.ndarray:
+        k = e.kind
+        if k == "const":
+            return np.full(self.n, e.value)
+        if k in ("var", "param"):
+            col = self.columns.get(e.name)
+            if col is None:
+                raise ExprError(f"no binding for variable {e.name!r}")
+            return col
+        if k == "call":
+            return self._finite(self._call(e))
+        if k == "interp":
+            xs, coeffs, order = e.data
+            try:
+                r = special.hermite_eval(xs, coeffs, self.value(e.args[0]), order)
+            except special.SpecialFunctionError:   # a derivative order the table lacks
+                r = np.full(self.n, np.nan)
+            return self._finite(r)
+        a = self.value(e.args[0])
+        if k == "neg":
+            return -a
+        if k == "pow":
+            b = e.args[1]
+            return self._pow(a, b.value if b.kind == "const" else self.value(b))
+        b = self.value(e.args[1])
+        if k == "add":
+            return a + b
+        if k == "sub":
+            return a - b
+        if k == "mul":
+            return a * b
+        if k == "div":
+            self.bad |= b == 0.0
+            return a / b
+        raise ExprError(f"cannot evaluate node kind {k!r}")
+
+    def _pow(self, a: np.ndarray, b) -> np.ndarray:
+        """`_pow` elementwise; b is an array or a constant exponent."""
+        pos = a > 0.0
+        r = np.power(a, b)
+        if not pos.all():
+            zero = a == 0.0
+            other = ~(pos | zero)           # negative or NaN base
+            n = np.round(b)
+            signed = np.where(np.fmod(n, 2.0) != 0.0, -1.0, 1.0) * np.power(-a, n)
+            r = np.where(zero, 0.0, np.where(other, signed, r))
+            self.bad |= (zero & ~np.greater(b, 0.0)) | (other & ~(np.abs(b - n) < 1e-9))
+        return self._finite(r)
+
+    def _call(self, e: Expr) -> np.ndarray:
+        name = e.name
+        if name in _ELLIPTIC:
+            key = (e.args[0], e.args[1])
+            triple = self.triples.get(key)
+            if triple is None:
+                triple = self.triples[key] = special.jacobi(
+                    self.value(e.args[0]), self.value(e.args[1]))
+            sn, cn, dn = triple
+            if name == "ds":
+                return special.ds_of(sn, dn)
+            if name == "sd":
+                return special.sd_of(sn, dn)
+            return triple[_ELLIPTIC.index(name)]
+        args = [self.value(a) for a in e.args]
+        if name == "erf":
+            return special.erf(args[0])
+        if name == "whitM":
+            return special.whittaker_m(*args)
+        if name == "sign":
+            return (args[0] > 0.0) - (args[0] < 0.0).astype(float)
+        return _ARRAY_1[name](args[0])
+
+
+def _point_array(points, width: int) -> np.ndarray:
+    """Points as an (n, width) array: an array, any iterable of tuples,
+    or for width 1 an iterable of numbers."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points, dtype=float)
+    return pts if pts.ndim == 2 else pts.reshape(len(pts), width)
+
+
+def evaluate_points(exprs: list[Expr], names: tuple[str, ...],
+                    points) -> tuple[np.ndarray, np.ndarray]:
+    """Values of k expressions at n points in one numpy pass.
+
+    `points` is an (n, d) array or n tuples of d coordinates (for one
+    name, n numbers).  Returns (values[k, n], ok[n]): ok is False at a
+    point where any of the expressions leaves its domain (the rule of
+    `compile_expr`), and the values there are meaningless.  Each distinct
+    node is computed once per call, across all k trees, and each (z, k)
+    pair of the Jacobi functions costs one kernel call.
+    """
+    return _Batch(names, points).values(exprs)
+
+
 # -- sampled residuals -----------------------------------------------------
 
 # share of sample points a check may skip (domain errors, pole guards)
@@ -1157,53 +1277,53 @@ MAX_SKIP_FRACTION = 0.2
 class SampledResidual:
     """Outcome of `sample_residual`: the worst relative and absolute
     residual over the evaluated points, where the worst relative one sits,
-    and how many points were attempted and evaluated."""
+    how many points were attempted and evaluated, and why the others were
+    skipped (a domain error, or a guard below its minimum)."""
 
     max_rel: float
     max_abs: float
     worst_point: tuple[float, ...] | None
     attempted: int
     valid: int
+    domain_skips: int
+    guard_skips: int
 
 
-def sample_residual(terms: list[Expr], names: tuple[str, ...],
-                    points: Iterable[tuple[float, ...]],
-                    skip: Callable[[tuple[float, ...]], bool] | None = None,
+def sample_residual(terms: list[Expr], names: tuple[str, ...], points,
+                    guards: list[Expr] = (), guard_min: float = 0.0,
                     ) -> SampledResidual:
     """Evaluate the additive terms of a residual at each point.
 
-    The residual at a point is the compensated sum of the term values; its
-    relative size divides by max(1, max |term|), so a genuine zero passes
-    even when single terms are large.  A point is skipped when a term
-    raises EvalDomainError or when skip(point) holds (skip may raise
-    EvalDomainError too).  Raises EvalDomainError when no point is
-    evaluated or more than MAX_SKIP_FRACTION of them are skipped.
+    The residual at a point is the compensated sum (math.fsum) of the term
+    values; its relative size divides by max(1, max |term|), so a genuine
+    zero passes even when single terms are large.  A point is skipped when
+    a guard is below guard_min (a guard skip), or else when a term or a
+    guard leaves its domain (a domain skip); guards and terms are evaluated
+    in one batch.  Raises
+    EvalDomainError when no point is evaluated or more than
+    MAX_SKIP_FRACTION of them are skipped.
     """
-    fns = [compile_expr(t, names) for t in terms]
-    worst = worst_abs = 0.0
-    worst_pt = None
-    attempted = valid = 0
-    for pt in points:
-        attempted += 1
-        try:
-            if skip is not None and skip(pt):
-                continue
-            vals = [f(pt) for f in fns]
-        except EvalDomainError:
-            continue
-        valid += 1
-        res = abs(math.fsum(vals))
-        rel = res / max(1.0, *map(abs, vals))
-        if rel > worst:
-            worst, worst_pt = rel, pt
-        if res > worst_abs:
-            worst_abs = res
+    pts = _point_array(points, len(names))
+    batch = _Batch(names, pts)
+    gvals, guards_ok = batch.values(list(guards))
+    vals, ok = batch.values(terms)
+    # a guard below its minimum skips the point whatever the terms do there
+    guarded = guards_ok & (gvals < guard_min).any(axis=0)
+    use = np.flatnonzero(ok & guards_ok & ~guarded)
+    attempted, valid = len(pts), len(use)
     skipped = attempted - valid
     if valid == 0 or skipped > MAX_SKIP_FRACTION * attempted:
         raise EvalDomainError(
             f"{skipped}/{attempted} sample points skipped; a check needs an evaluated "
             f"point and may skip at most {MAX_SKIP_FRACTION:.0%}")
-    return SampledResidual(worst, worst_abs, worst_pt, attempted, valid)
+    block = vals[:, use]
+    res = np.abs([math.fsum(col) for col in block.T.tolist()])
+    rel = res / np.maximum(1.0, np.abs(block).max(axis=0))
+    j = int(np.argmax(rel))
+    worst = float(rel[j])
+    worst_pt = tuple(pts[use[j]].tolist()) if worst > 0.0 else None
+    return SampledResidual(worst, float(res.max()), worst_pt, attempted, valid,
+                           skipped - int(guarded.sum()), int(guarded.sum()))
 
 
 # -- numeric equality ------------------------------------------------------

@@ -14,8 +14,8 @@ from .expr import (
     Expr,
     EvalDomainError,
     ExprError,
-    compile_expr,
     diff,
+    evaluate_points,
     free_variables,
     parse,
     to_str,
@@ -70,21 +70,14 @@ def sign_on(e: Expr, domain: Interval, name: str = "x") -> int:
     0 when the expression changes sign, vanishes or is undefined at a
     sample.
     """
-    fn = compile_expr(e, (name,))
-    sign = 0
-    for x in domain.samples():
-        try:
-            v = fn((x,))
-        except EvalDomainError:
-            return 0
-        if v == 0.0:
-            return 0
-        s = 1 if v > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return 0
-    return sign
+    (vals,), ok = evaluate_points([e], (name,), domain.samples())
+    if not ok.all():
+        return 0
+    if (vals > 0.0).all():
+        return 1
+    if (vals < 0.0).all():
+        return -1
+    return 0
 
 
 def constant_on(e: Expr, domain: Interval, tol: float) -> float | None:
@@ -93,11 +86,10 @@ def constant_on(e: Expr, domain: Interval, tol: float) -> float | None:
     Returns the median of 32 samples, or None when a sample is undefined
     or differs from the median by more than tol*max(1, |median|).
     """
-    fn = compile_expr(e, ("x",))
-    try:
-        vals = sorted(fn((x,)) for x in domain.samples(_CONSTANT_SAMPLES))
-    except EvalDomainError:
+    (vals,), ok = evaluate_points([e], ("x",), domain.samples(_CONSTANT_SAMPLES))
+    if not ok.all():
         return None
+    vals = sorted(vals.tolist())
     c = vals[len(vals) // 2]
     if max(abs(v - c) for v in vals) > tol * max(1.0, abs(c)):
         return None
@@ -355,22 +347,19 @@ class PointTransformation:
             return [f"cannot differentiate components: {exc}"]
         xlo, xhi = (domain.lo, domain.hi) if domain else (0.5, 2.0)
         box = [(0.5, 2.0), (xlo, xhi), (0.5, 2.0)]
-        fns = [[compile_expr(c, names) for c in row] for row in rows]
         pts = halton_scaled(box, 16)
-        skipped = 0
-        for pt in pts:
-            try:
-                m = [[f(pt) for f in row] for row in fns]
-            except EvalDomainError:
-                skipped += 1
-                continue
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            if abs(det) < 1e-12:
-                return [f"Jacobian vanishes near t={pt[0]:.3g}, x={pt[1]:.3g}"]
+        vals, ok = evaluate_points([c for row in rows for c in row], names, pts)
+        m = vals.reshape(3, 3, -1)
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        vanishing = ok & (abs(det) < 1e-12)
+        if vanishing.any():
+            pt = pts[vanishing.argmax()]
+            return [f"Jacobian vanishes near t={pt[0]:.3g}, x={pt[1]:.3g}"]
+        skipped = len(pts) - int(ok.sum())
         if skipped > MAX_SKIP_FRACTION * len(pts):
             return [f"Jacobian is undefined at {skipped}/{len(pts)} sample points"]
         return []

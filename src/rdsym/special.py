@@ -1,15 +1,23 @@
 """Numeric kernels: Kummer/Whittaker functions, Jacobi elliptic functions,
-the error function, and the monotone cubic tables used by numeric-inverse
+the error function, and the quintic Hermite tables used by numeric-inverse
 fallbacks.
 
-All kernels are pure functions of floats.  Ranges are deliberately modest
-(desk-scale arguments); accuracy targets: Kummer/Whittaker 1e-11 relative,
-Jacobi 1e-10 absolute, erf 1e-12 absolute.
+Every kernel works elementwise on numpy arrays and has one
+implementation.  Array arguments broadcast against each other; an element
+outside the kernel's domain, or one whose series did not converge, comes
+back as NaN.  A call whose arguments are all scalars runs the same code
+on one element and returns floats, raising SpecialFunctionError where the
+array form gives NaN.  Ranges are deliberately modest (desk-scale
+arguments); accuracy targets: Kummer/Whittaker 1e-11 relative, Jacobi
+1e-10 absolute, erf 1e-12 absolute.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 
 class SpecialFunctionError(Exception):
@@ -19,124 +27,189 @@ class SpecialFunctionError(Exception):
 _MAX_KUMMER_TERMS = 500
 _KUMMER_Z_LIMIT = 30.0
 _AGM_TOL = 1e-15
+_AGM_STEPS = 60
 _DS_POLE_GUARD = 1e-9
 
 
-def kummer_m(a: float, b: float, z: float) -> float:
+def _elementwise(kernel):
+    """Public form of an array kernel: the positional arguments are
+    broadcast to 1-d float arrays (keyword arguments pass unchanged); with
+    scalar arguments only, the result is float(s) and a NaN element
+    raises SpecialFunctionError."""
+
+    @functools.wraps(kernel)
+    def run(*args, **fixed):
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        shape = arrays[0].shape
+        with np.errstate(all="ignore"):
+            out = kernel(*(a.reshape(-1) for a in arrays), **fixed)
+        parts = out if isinstance(out, tuple) else (out,)
+        if shape:
+            parts = tuple(p.reshape(shape) for p in parts)
+            return parts if isinstance(out, tuple) else parts[0]
+        if not all(np.isfinite(p[0]) for p in parts):
+            shown = ", ".join(repr(float(a)) for a in args)
+            raise SpecialFunctionError(f"{kernel.__name__.lstrip('_')}({shown}) is outside "
+                                       f"the kernel's domain or did not converge")
+        values = tuple(float(p[0]) for p in parts)
+        return values if isinstance(out, tuple) else values[0]
+
+    return run
+
+
+def _pole_of_b(b: np.ndarray) -> np.ndarray:
+    """b is a nonpositive integer: a pole of M(a, b, z)."""
+    return (b <= 0.0) & (b == np.floor(b))
+
+
+@_elementwise
+def kummer_m(a, b, z):
     """Confluent hypergeometric M(a,b,z) by power series with compensated
     summation.  Requires b not a nonpositive integer and |z| <= 30.
     Negative z goes through Kummer's transformation
     M(a,b,z) = e^z M(b-a,b,-z) (DLMF 13.2.39): the series at -z does not
     lose its digits to the cancellation of an alternating sum."""
-    if b <= 0.0 and b == int(b):
-        raise SpecialFunctionError(f"kummer_m pole: b={b} is a nonpositive integer")
-    if abs(z) > _KUMMER_Z_LIMIT:
-        raise SpecialFunctionError(f"kummer_m argument |z|={abs(z)} exceeds {_KUMMER_Z_LIMIT}")
-    if z < 0.0:
-        return math.exp(z) * kummer_m(b - a, b, -z)
-    total = 1.0
-    comp = 0.0
-    term = 1.0
+    bad = (~np.isfinite(a) | ~np.isfinite(b) | ~np.isfinite(z) | _pole_of_b(b)
+           | (np.abs(z) > _KUMMER_Z_LIMIT))
+    flip = z < 0.0
+    a = np.where(flip, b - a, a)
+    z = np.abs(z)
+    total = np.ones_like(z)
+    comp = np.zeros_like(z)
+    term = np.ones_like(z)
+    live = ~bad
     for n in range(_MAX_KUMMER_TERMS):
-        term *= (a + n) / (b + n) * z / (n + 1)
+        if not live.any():
+            break
+        i = np.flatnonzero(live)
+        tm = term[i] * ((a[i] + n) / (b[i] + n) * z[i] / (n + 1))
         # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            return total
-    raise SpecialFunctionError(
-        f"kummer_m({a},{b},{z}) did not converge in {_MAX_KUMMER_TERMS} terms"
-    )
+        y = tm - comp[i]
+        t = total[i] + y
+        comp[i] = (t - total[i]) - y
+        total[i] = t
+        term[i] = tm
+        live[i] = ~(np.abs(tm) <= 1e-17 * np.abs(t) + 1e-300)
+    bad |= live   # no convergence in _MAX_KUMMER_TERMS terms
+    total = np.where(flip, np.exp(-z) * total, total)
+    return np.where(bad, np.nan, total)
 
 
-def whittaker_m(kappa: float, mu: float, z: float) -> float:
+@_elementwise
+def whittaker_m(kappa, mu, z):
     """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{mu+1/2} M(mu-kappa+1/2, 1+2mu, z).
 
     Real branch only: z must be positive.
     """
-    if z <= 0.0:
-        raise SpecialFunctionError(f"whittaker_m requires z>0, got z={z}")
     b = 1.0 + 2.0 * mu
-    if b <= 0.0 and b == int(b):
-        raise SpecialFunctionError(f"whittaker_m pole: 1+2mu={b} is a nonpositive integer")
-    return math.exp(-0.5 * z) * z ** (mu + 0.5) * kummer_m(mu - kappa + 0.5, b, z)
+    bad = ~(z > 0.0) | _pole_of_b(b)
+    z = np.where(bad, 1.0, z)
+    m = kummer_m(mu - kappa + 0.5, b, z)
+    return np.where(bad, np.nan, np.exp(-0.5 * z) * np.power(z, mu + 0.5) * m)
 
 
-def jacobi(z: float, k: float) -> tuple[float, float, float]:
+@_elementwise
+def jacobi(z, k):
     """Jacobi elliptic (sn, cn, dn)(z, k) via the descending Landen/AGM
-    scheme; modulus k in (0,1), real z."""
-    if not 0.0 < k < 1.0:
-        raise SpecialFunctionError(f"modulus k={k} outside (0,1)")
-    a = [1.0]
+    scheme; modulus k in (0,1), real z.  The number of AGM steps is that
+    of each element's own modulus."""
+    bad = ~((k > 0.0) & (k < 1.0)) | ~np.isfinite(z)
+    k = np.where(bad, 0.5, k)
+    a = [np.ones_like(k)]
     c = [k]
-    b = math.sqrt(1.0 - k * k)
-    n = 0
-    while abs(c[n]) > _AGM_TOL and n < 60:
-        a.append(0.5 * (a[n] + b))
-        c.append(0.5 * (a[n] - b))
-        b = math.sqrt(a[n] * b)
-        n += 1
-    phi = (2.0 ** n) * a[n] * z
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, c[i] / a[i] * math.sin(phi)))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
+    b = np.sqrt(1.0 - k * k)
+    steps = np.zeros(k.shape, dtype=int)
+    live = np.abs(k) > _AGM_TOL
+    while live.any() and len(c) <= _AGM_STEPS:
+        an = a[-1]
+        a.append(np.where(live, 0.5 * (an + b), an))
+        c.append(np.where(live, 0.5 * (an - b), c[-1]))
+        b = np.where(live, np.sqrt(an * b), b)
+        steps += live
+        live &= np.abs(c[-1]) > _AGM_TOL
+    idx = np.arange(k.size)
+    a_last = np.stack(a)[steps, idx]
+    phi = np.power(2.0, steps) * a_last * z
+    for i in range(len(a) - 1, 0, -1):
+        step = 0.5 * (phi + np.arcsin(np.clip(c[i] / a[i] * np.sin(phi), -1.0, 1.0)))
+        phi = np.where(i <= steps, step, phi)
+    sn = np.sin(phi)
+    cn = np.cos(phi)
     # dn > 0 for real z and k < 1, so the defining identity is the stable form
-    dn = math.sqrt(1.0 - k * k * sn * sn)
-    return sn, cn, dn
+    dn = np.sqrt(1.0 - k * k * sn * sn)
+    return tuple(np.where(bad, np.nan, v) for v in (sn, cn, dn))
 
 
-def ds(z: float, k: float) -> float:
+def ds_of(sn, dn):
+    """ds = dn/sn from the Jacobi triple; NaN at the pole |sn| < 1e-9."""
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(sn) < _DS_POLE_GUARD, np.nan, dn / sn)
+
+
+def sd_of(sn, dn):
+    """sd = sn/dn from the Jacobi triple; total for k<1 since dn never
+    vanishes."""
+    with np.errstate(all="ignore"):
+        return sn / dn
+
+
+@_elementwise
+def ds(z, k):
     """ds(z,k) = dn/sn; pole at sn=0 reported as a domain error."""
     sn, _, dn = jacobi(z, k)
-    if abs(sn) < _DS_POLE_GUARD:
-        raise SpecialFunctionError(f"ds pole at z={z} (|sn|={abs(sn):.2e})")
-    return dn / sn
+    return ds_of(sn, dn)
 
 
-def sd(z: float, k: float) -> float:
-    """sd(z,k) = sn/dn = 1/ds; total for k<1 since dn never vanishes."""
+@_elementwise
+def sd(z, k):
+    """sd(z,k) = sn/dn = 1/ds."""
     sn, _, dn = jacobi(z, k)
-    return sn / dn
+    return sd_of(sn, dn)
 
 
 _ERF_SERIES_CUT = 3.2
+_ERF_ONE = 6.5
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def erf(x: float) -> float:
+@_elementwise
+def erf(x):
     """Error function: Maclaurin series for small |x|, continued fraction
-    for the tail; absolute error <= 1e-12."""
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax <= _ERF_SERIES_CUT:
+    for the tail, 1 beyond 6.5; absolute error <= 1e-12."""
+    ax = np.abs(x)
+    r = np.where(ax >= _ERF_ONE, 1.0, np.nan)   # NaN stays NaN
+    series = np.flatnonzero((ax > 0.0) & (ax <= _ERF_SERIES_CUT))
+    if series.size:
         # erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1)), Kahan-summed
-        x2 = ax * ax
-        term = ax
-        total = ax
-        comp = 0.0
+        s = ax[series]
+        x2 = s * s
+        term = s.copy()
+        total = s.copy()
+        comp = np.zeros_like(s)
+        live = np.ones(s.shape, dtype=bool)
         for n in range(1, 200):
-            term *= -x2 / n
-            y = term / (2 * n + 1) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if abs(term) <= 1e-18 * (2 * n + 1):
+            i = np.flatnonzero(live)
+            if not i.size:
                 break
-        r = _TWO_OVER_SQRT_PI * total
-    elif ax >= 6.5:
-        r = 1.0
-    else:
+            tm = term[i] * (-x2[i] / n)
+            y = tm / (2 * n + 1) - comp[i]
+            t = total[i] + y
+            comp[i] = (t - total[i]) - y
+            total[i] = t
+            term[i] = tm
+            live[i] = ~(np.abs(tm) <= 1e-18 * (2 * n + 1))
+        r[series] = _TWO_OVER_SQRT_PI * total
+    tail = np.flatnonzero((ax > _ERF_SERIES_CUT) & (ax < _ERF_ONE))
+    if tail.size:
         # erfc via Legendre continued fraction, evaluated backwards
-        cf = 0.0
+        s = ax[tail]
+        cf = np.zeros_like(s)
         for n in range(60, 0, -1):
-            cf = (0.5 * n) / (ax + cf) if n % 2 == 1 else n * 0.5 / (ax + cf)
-        erfc = math.exp(-ax * ax) / math.sqrt(math.pi) / (ax + cf)
-        r = 1.0 - erfc
-    return r if x > 0 else -r
+            cf = (0.5 * n) / (s + cf)
+        r[tail] = 1.0 - np.exp(-s * s) / math.sqrt(math.pi) / (s + cf)
+    r = np.where(x > 0, r, -r)
+    r[ax == 0.0] = 0.0
+    return r
 
 
 # -- quintic Hermite tables ----------------------------------------------------
@@ -153,7 +226,7 @@ _H5 = (
 )
 
 
-def _poly_deriv_val(coeffs: tuple, s: float, order: int) -> float:
+def _poly_deriv_val(coeffs: tuple, s, order: int):
     total = 0.0
     for k in range(len(coeffs) - 1, order - 1, -1):
         fac = 1.0
@@ -172,29 +245,30 @@ def hermite_table(xs: list[float], ys: list[float], ds: list[float],
     return tuple(xs), (tuple(ys), tuple(ds), tuple(cs))
 
 
-def hermite_eval(xs: tuple, coeffs: tuple, t: float, order: int = 0) -> float:
+def hermite_eval(xs: tuple, coeffs: tuple, t, order: int = 0):
     """Evaluate the quintic Hermite table or one of its derivatives
-    (order <= 3)."""
-    ys, ds, cs = coeffs
-    n = len(xs)
-    if t < xs[0] - 1e-10 * (1 + abs(xs[0])) or t > xs[-1] + 1e-10 * (1 + abs(xs[-1])):
-        raise SpecialFunctionError(
-            f"tabulated function queried at {t} outside [{xs[0]}, {xs[-1]}]")
+    (order <= 3) elementwise at t; a point outside the knot range is a
+    domain error."""
     if order > 3:
         raise SpecialFunctionError(f"tabulated derivative order {order} unsupported")
-    lo, hi = 0, n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= t:
-            lo = mid
-        else:
-            hi = mid
-    h = xs[lo + 1] - xs[lo]
-    s = (t - xs[lo]) / h
-    weights = (ys[lo], h * ds[lo], h * h * cs[lo],
-               ys[lo + 1], h * ds[lo + 1], h * h * cs[lo + 1])
-    val = sum(w * _poly_deriv_val(b, s, order) for w, b in zip(weights, _H5))
-    return val / h ** order
+    return _tabulated(t, xs=xs, coeffs=coeffs, order=order)
+
+
+@_elementwise
+def _tabulated(t, *, xs: tuple, coeffs: tuple, order: int):
+    grid = np.asarray(xs, dtype=float)
+    inside = ((t >= xs[0] - 1e-10 * (1 + abs(xs[0])))
+              & (t <= xs[-1] + 1e-10 * (1 + abs(xs[-1]))))
+    lo = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+    h = grid[lo + 1] - grid[lo]
+    s = (t - grid[lo]) / h
+    ys, ds_, cs = (np.asarray(c, dtype=float) for c in coeffs)
+    weights = (ys[lo], h * ds_[lo], h * h * cs[lo],
+               ys[lo + 1], h * ds_[lo + 1], h * h * cs[lo + 1])
+    val = 0
+    for w, b in zip(weights, _H5):
+        val = val + w * _poly_deriv_val(b, s, order)
+    return np.where(inside, val / h ** order, np.nan)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 40) -> float:

@@ -17,9 +17,9 @@ import numpy as np
 from .expr import (
     Expr,
     EvalDomainError,
-    compile_expr,
     const,
     diff,
+    evaluate_points,
     free_variables,
     sample_residual,
     simplify,
@@ -63,16 +63,21 @@ class ProlongedField:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Verdict of a sampled check: `samples` of the `attempted` points
+    were evaluated, the others left the residual's domain."""
+
     passed: bool
     max_residual: float
     samples: int
     worst_point: tuple[float, ...] | None = None
+    attempted: int = 0
 
     def as_dict(self) -> dict:
         return {
             "pass": self.passed,
             "max_residual": self.max_residual,
             "samples": self.samples,
+            "attempted": self.attempted,
             "worst_point": list(self.worst_point) if self.worst_point else None,
         }
 
@@ -152,13 +157,17 @@ def _lie_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
         {"u_t": E}))
 
 
+def _residual_at(terms: list[Expr], names: tuple[str, ...], pt: tuple) -> float:
+    vals, ok = evaluate_points(terms, names, [pt])
+    if not ok[0]:
+        raise EvalDomainError(f"residual undefined at {pt}")
+    return math.fsum(vals[:, 0].tolist())
+
+
 def lie_residual(eq: Equation, Q: VectorField, jp: JetPoint) -> float:
     """Value of the invariance expression Q_(2)(u_t - E) on the equation
     manifold at one jet point."""
-    terms = _lie_residual_terms(eq, Q)
-    pt = jp.as_tuple()
-    fns = [compile_expr(t, _JET6) for t in terms]
-    return math.fsum(f(pt) for f in fns)
+    return _residual_at(_lie_residual_terms(eq, Q), _JET6, jp.as_tuple())
 
 
 def sampled_verification(terms: list[Expr], names: tuple[str, ...],
@@ -170,7 +179,7 @@ def sampled_verification(terms: list[Expr], names: tuple[str, ...],
     box = {"x": (domain.lo, domain.hi), **(box or {})}
     ranges = [box.get(nm, _DEFAULT_RANGE) for nm in names]
     r = sample_residual(terms, names, halton_scaled(ranges, n))
-    return VerificationReport(r.max_rel <= tol, r.max_rel, r.valid, r.worst_point)
+    return VerificationReport(r.max_rel <= tol, r.max_rel, r.valid, r.worst_point, r.attempted)
 
 
 def verify_lie(eq: Equation, Q: VectorField, n: int = 64, tol: float = 1e-8,
@@ -232,10 +241,8 @@ def _conditional_residual_terms(eq: Equation, Q: VectorField) -> list[Expr]:
 def conditional_residual(eq: Equation, Q: VectorField, jp: JetPoint) -> float:
     """Conditional invariance residual at a jet point restricted to
     (t, x, u, u_x)."""
-    terms = _conditional_residual_terms(eq, Q)
-    pt = (jp.t, jp.x, jp.u, jp.u_x)
-    fns = [compile_expr(t, _JET4) for t in terms]
-    return math.fsum(f(pt) for f in fns)
+    return _residual_at(_conditional_residual_terms(eq, Q), _JET4,
+                        (jp.t, jp.x, jp.u, jp.u_x))
 
 
 def verify_nonclassical(eq: Equation, Q: VectorField, n: int = 64,
@@ -283,11 +290,10 @@ def verify_algebra_closure(basis: list[VectorField], tol: float = 1e-10,
     pts = halton_scaled(ranges, n)
 
     def column(q: VectorField) -> np.ndarray:
-        vals = []
-        for comp in (q.tau, q.xi, q.eta):
-            f = compile_expr(comp, names)
-            vals.extend(f(p) for p in pts)
-        return np.array(vals)
+        vals, ok = evaluate_points([q.tau, q.xi, q.eta], names, pts)
+        if not ok.all():
+            raise EvalDomainError("an operator is undefined at a sample point")
+        return vals.reshape(-1)
 
     cols = np.column_stack([column(q) for q in basis])
     k = len(basis)

@@ -20,6 +20,7 @@ from .expr import (
     compile_expr,
     const,
     diff,
+    evaluate_points,
     exp,
     free_variables,
     func,
@@ -203,12 +204,12 @@ def _hermite_inverse(xs: list, ys: list, ds: list, cs: list) -> Expr:
 def _tabulated_inverse(phi: Expr, lo: float, hi: float, knots: int = 129) -> Expr:
     """Inverse table of a monotone expression map x -> phi(x) on [lo, hi],
     with exact derivative data at the knots."""
-    f0 = compile_expr(phi, ("x",))
-    f1 = compile_expr(diff(phi, "x"), ("x",))
-    f2 = compile_expr(diff(diff(phi, "x"), "x"), ("x",))
+    d1 = diff(phi, "x")
     xs = [lo + (hi - lo) * i / (knots - 1) for i in range(knots)]
-    return _hermite_inverse(xs, [f0((v,)) for v in xs], [f1((v,)) for v in xs],
-                            [f2((v,)) for v in xs])
+    vals, ok = evaluate_points([phi, d1, diff(d1, "x")], ("x",), xs)
+    if not ok.all():
+        raise EvalDomainError("coordinate map is undefined at a knot of its inverse table")
+    return _hermite_inverse(xs, *vals.tolist())
 
 
 # -- point maps ------------------------------------------------------------------
@@ -300,7 +301,8 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
     new_domain = Interval(min(a, b), max(a, b))
     new_eq = RDEquation(new_f, new_f, new_h, eq.m, new_domain, eq.dep)
 
-    tr = _point_map(const(s_fg) * T, phi, const(s_fg) * T, inv, const(1), dep=eq.dep,
+    t_map = simplify(const(s_fg) * T)   # t or -t, its own inverse
+    tr = _point_map(t_map, phi, t_map, inv, const(1), dep=eq.dep,
                     law="f'=g'=sign(g)|fg|^(1/2), h'=sqrt|g/f| h")
     return new_eq, tr
 

@@ -204,3 +204,5 @@ def test_map_gauge_with_a_sign_fixed_by_the_domain(capsys):
     data = json.loads(out)
     assert data["equation"]["f"] == data["equation"]["g"]
     assert "abs" not in data["equation"]["f"]
+    assert data["transformation"]["T"] == "t"
+    assert data["transformation"]["inverse"]["T"] == "t"

@@ -412,16 +412,30 @@ class TestSampleResidual:
         assert (r.max_rel, r.worst_point, r.max_abs) == (1.0, (0.0,), 8.0)
         assert (r.attempted, r.valid) == (10, 10)
 
-    @pytest.mark.parametrize("term,skip,raises", [
+    @pytest.mark.parametrize("term,guard,raises", [
         ("sqrt(x - 1.5)", None, False),   # 2 of 10 points skipped: at the budget
         ("sqrt(x - 2.5)", None, True),
-        ("x", lambda pt: pt[0] < 2, False),
-        ("x", lambda pt: pt[0] < 3, True),
+        ("x", lambda: ([var("x")], 2.0), False),   # skip where the guard x < 2
+        ("x", lambda: ([var("x")], 3.0), True),
     ])
-    def test_skip_budget(self, term, skip, raises):
+    def test_skip_budget(self, term, guard, raises):
+        guards, guard_min = guard() if guard else ((), 0.0)
         if raises:
             with pytest.raises(EvalDomainError, match="3/10 sample points skipped"):
-                sample_residual([parse(term)], ("x",), self.PTS, skip)
+                sample_residual([parse(term)], ("x",), self.PTS, guards, guard_min)
         else:
-            r = sample_residual([parse(term)], ("x",), self.PTS, skip)
+            r = sample_residual([parse(term)], ("x",), self.PTS, guards, guard_min)
             assert (r.attempted, r.valid) == (10, 8)
+            assert (r.domain_skips, r.guard_skips) == ((0, 2) if guard else (2, 0))
+
+    def test_skip_reasons_are_counted_apart(self):
+        # the term fails at x = 9, the guard is below its minimum at x = 0
+        r = sample_residual([parse("1/(x - 9)")], ("x",), self.PTS, [var("x")], 0.5)
+        assert (r.attempted, r.valid, r.domain_skips, r.guard_skips) == (10, 8, 1, 1)
+        # below the guard, a failing term does not count as a domain error
+        r = sample_residual([parse("1/x")], ("x",), self.PTS, [var("x")], 0.5)
+        assert (r.domain_skips, r.guard_skips) == (0, 1)
+
+    def test_guard_that_raises_is_a_domain_skip(self):
+        r = sample_residual([parse("x")], ("x",), self.PTS, [parse("ln(x)")], -1.0)
+        assert (r.domain_skips, r.guard_skips) == (1, 0)

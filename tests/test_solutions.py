@@ -111,6 +111,20 @@ def test_pole_points_are_skipped():
     assert rep.max_rel_residual <= 1e-7
 
 
+def test_skips_are_reported_by_reason():
+    # ds(x - 0.55, k) has a pole on the first grid column (x = 0.55): its
+    # 20 points sit below the |sn| guard
+    entry = replace(CATALOG["cubic/zero-ds"], expr=parse("ds(x - 0.55, 0.7)"))
+    rep = sol.verify_on_grid(entry, grid=sol.GridSpec(x_range=(0.5, 2.5)))
+    assert (rep.skipped, rep.skipped_pole, rep.skipped_domain) == (20, 20, 0)
+    assert rep.as_dict()["skipped_pole"] == 20
+    # x^(-4/3) is undefined on the 2 of 20 grid columns with x < 0
+    eq = ImagedEquation(const(0), const(-28 / 9), 2.5, Interval(0.5, 2.0))
+    pw = sol.SolutionEntry("pow", eq, parse("x^(-4/3)"))
+    rep = sol.verify_on_grid(pw, grid=sol.GridSpec(x_range=(-0.2, 2.0)))
+    assert (rep.skipped, rep.skipped_pole, rep.skipped_domain) == (40, 0, 40)
+
+
 def test_generate_through_inverse_drift():
     src = CATALOG["imaged/x-free"]
     q, m = 1.0, 3.0

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rdsym import special
@@ -145,6 +146,57 @@ class TestJacobi:
     def test_modulus_range(self):
         with pytest.raises(special.SpecialFunctionError):
             special.jacobi(1.0, 1.5)
+
+
+class TestMpmathOracles:
+    """jacobi, whittaker_m and erf against mpmath over the domains the
+    kernels accept, on arrays and on the scalar forms, which run the same
+    code.  Parameters are exact in binary, so that mpmath sees the
+    kernel's own inputs."""
+
+    K = [1e-6, 0.05, 0.3, 0.5, math.sqrt(2) / 2, 0.9, 0.99, 0.999999]
+    Z = [*np.linspace(-100.0, 100.0, 81), 0.0, 1e-8, -1e-8]
+
+    def test_jacobi(self):
+        mpmath = pytest.importorskip("mpmath")
+        zs, ks = np.meshgrid(self.Z, self.K)
+        got = special.jacobi(zs, ks)
+        with mpmath.workdps(30):
+            for (i, j), z in np.ndenumerate(zs):
+                k = ks[i, j]
+                # near k = 1 the complement 1 - k^2 loses digits to cancellation
+                tol = 1e-13 if k <= 0.99 else 1e-10
+                for part, name in zip(got, ("sn", "cn", "dn")):
+                    want = float(mpmath.ellipfun(name, z, m=mpmath.mpf(k) ** 2))
+                    assert abs(part[i, j] - want) <= tol, (name, z, k)
+                if j % 10 == 0:
+                    assert special.jacobi(z, k) == tuple(p[i, j] for p in got)
+
+    @pytest.mark.parametrize("kappa", [-2.0, -0.5, 0.0, 0.25, 1.25, 2.5, 4.0])
+    def test_whittaker(self, kappa):
+        mpmath = pytest.importorskip("mpmath")
+        zs = np.array([*np.geomspace(1e-3, 30.0, 25), 30.0])
+        for mu in (-0.375, 0.0, 0.25, 0.75, 1.5, 3.0):
+            got = special.whittaker_m(kappa, mu, zs)
+            with mpmath.workdps(30):
+                for z, g in zip(zs, got):
+                    want = float(mpmath.whitm(kappa, mu, z))
+                    assert abs(g - want) <= 1e-11 * abs(want), (kappa, mu, z)
+            assert special.whittaker_m(kappa, mu, zs[7]) == got[7]
+
+    def test_whittaker_outside_its_domain_is_nan(self):
+        got = special.whittaker_m(0.3, 0.25, np.array([-1.0, 0.0, 1.0]))
+        assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+
+    def test_erf(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.array([*np.linspace(-10.0, 10.0, 401), 0.0, 3.2, -3.2, 6.5, -6.5,
+                       3.2000000000000006, 1e-300, -1e-10, math.inf, -math.inf])
+        got = special.erf(xs)
+        with mpmath.workdps(30):
+            for x, g in zip(xs, got):
+                assert abs(g - float(mpmath.erf(x))) <= 1e-12, x
+                assert special.erf(x) == g
 
 
 class TestDsSd:

@@ -92,6 +92,14 @@ T3_CASES = [
 
 
 class TestVerifyLie:
+    def test_report_counts_attempted_and_evaluated_points(self):
+        # v^2.5 is undefined where v < 0, a few of the 64 jet points
+        eq = ImagedEquation(const(0), const(-28 / 9), 2.5, Interval(0.5, 2.0))
+        q = VectorField(parse("2*t"), parse("x"), parse("-4/3*v"), "v")
+        rep = verify_lie(eq, q, n=64, box={"u": (-0.1, 2.0)})
+        assert rep.passed and rep.attempted == 64 and 0 < 64 - rep.samples <= 12
+        assert rep.as_dict()["attempted"] == 64
+
     @pytest.mark.parametrize("row,params", T1_CASES)
     def test_imaged_rows(self, row, params):
         eq, ops = tables.build_imaged(row, params, M)

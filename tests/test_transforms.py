@@ -109,6 +109,12 @@ class TestGauge:
         bad = replace(tr, V=tr.V * (1 + 0.01 * var("x")))
         assert not map_residual_check(eq, new, bad, n=64).passed
 
+    @pytest.mark.parametrize("g,want", [("1", "t"), ("-1", "-t")])
+    def test_time_map_is_simplified(self, g, want):
+        eq = RDEquation(parse("x^2"), parse(g), parse("x^4"), 2.0, Interval(0.5, 2.0))
+        _, tr = gauge_fg(eq, 1.0)
+        assert tr.T == tr.inv_T == simplify(parse(want))
+
     def test_rule_table(self):
         assert antiderivative(parse("exp(2*x)")) is not None
         assert antiderivative(parse("x^3")) is not None
