@@ -2,8 +2,8 @@
 
 Small scalar language over real-valued functions of named variables:
 parsing, exact differentiation, capture-free substitution, a confluent
-rule-table simplifier and numeric evaluation (scalar and batched, with one
-domain rule).  Semantic equality is numeric (`num_equal`), not
+rule-table simplifier and numeric evaluation (one batched evaluator and its
+one-point forms).  Semantic equality is numeric (`num_equal`), not
 canonical-form based.
 
 Grammar (EBNF)::
@@ -67,7 +67,7 @@ class Expr:
 
     kind is one of: "const", "var", "param", "neg", the binary kinds
     "add" "sub" "mul" "div" "pow", "call" (name holds the function), or
-    "interp" (an internal monotone-cubic table used by numeric-inverse
+    "interp" (an internal quintic Hermite table used by numeric-inverse
     fallbacks; not part of the grammar and not printable).
 
     Equality is structural.  The hash is computed once, when the node is
@@ -627,7 +627,9 @@ def _int_const(e: Expr) -> int | None:
     return None
 
 
-def _fold_call(e: Expr) -> Expr:
+def _fold(e: Expr) -> Expr:
+    """A node whose arguments are all constants, as the constant it
+    evaluates to; unchanged where it has no value."""
     if all(a.kind == "const" for a in e.args):
         try:
             return const(evaluate(e, {}))
@@ -759,10 +761,7 @@ def _simplify_node(e: Expr, asm: dict[Expr, int]) -> Expr:
         if _is_const(a, 1.0):
             return ONE
         if a.kind == "const" and b.kind == "const":
-            try:
-                return const(_pow(a.value, b.value))
-            except ExprError:
-                return e
+            return _fold(e)
         # (u^c)^n -> u^(c n) for integer n
         if a.kind == "pow" and a.args[1].kind == "const" and _int_const(b) is not None:
             return pow_(a.args[0], const(a.args[1].value * b.value))
@@ -799,7 +798,7 @@ def _simplify_node(e: Expr, asm: dict[Expr, int]) -> Expr:
             s = _assumed_sign(u, asm)
             if s is not None:
                 return const(float(s))
-        return _fold_call(e)
+        return _fold(e)
     return e
 
 
@@ -929,207 +928,35 @@ def simplify(e: Expr, assumptions: Iterable = ()) -> Expr:
 
 # -- evaluation ------------------------------------------------------------
 #
-# Two evaluators share one domain rule.  `compile_expr` is the scalar path
-# for point-by-point callers; `evaluate_points` computes whole trees over
-# all points of a check in one numpy pass.  A point is outside the domain
-# when a node divides by zero, a power has no real value or overflows, a
-# call (ln and sqrt out of range, a kernel's domain error, pole or missing
-# convergence, a tabulated function queried outside its knots) gives a
-# non-finite value, or the final value is not finite.  Other intermediate
-# values may be infinite.
-
-def _pow(base: float, expo: float) -> float:
-    try:
-        if base > 0.0:
-            r = base ** expo
-        elif base == 0.0:
-            if expo > 0.0:
-                r = 0.0
-            else:
-                raise EvalDomainError("0 raised to a nonpositive power")
-        else:
-            n = round(expo)
-            if abs(expo - n) < 1e-9:
-                r = (-1.0) ** (int(n) % 2) * (-base) ** n
-            else:
-                raise EvalDomainError(
-                    f"noninteger power {expo} of negative base {base}"
-                )
-    except (OverflowError, ValueError):   # a result out of range, or round() of inf/nan
-        raise EvalDomainError(f"power {base}^{expo} out of range") from None
-    if not math.isfinite(r):
-        raise EvalDomainError("overflow in power")
-    return r
-
-
-def _interp_eval(data: tuple, t: float) -> float:
-    xs, coeffs, order = data
-    try:
-        return special.hermite_eval(xs, coeffs, t, order)
-    except special.SpecialFunctionError as exc:
-        raise EvalDomainError(str(exc)) from exc
-
-
-_MATH_1 = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "abs": abs, "erf": special.erf,
-    "sign": lambda x: (x > 0) - (x < 0) + 0.0,
-}
-
-_ELLIPTIC = ("sn", "cn", "dn", "ds", "sd")
-
-
-def _call_value(name: str, vals: list[float]) -> float:
-    try:
-        if name in _MATH_1:
-            r = _MATH_1[name](vals[0])
-        elif name == "ln":
-            if vals[0] <= 0.0:
-                raise EvalDomainError(f"ln of nonpositive value {vals[0]}")
-            r = math.log(vals[0])
-        elif name == "sqrt":
-            if vals[0] < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {vals[0]}")
-            r = math.sqrt(vals[0])
-        elif name == "whitM":
-            r = special.whittaker_m(vals[0], vals[1], vals[2])
-        elif name in ("sn", "cn", "dn"):
-            r = special.jacobi(vals[0], vals[1])[_ELLIPTIC.index(name)]
-        elif name == "ds":
-            r = special.ds(vals[0], vals[1])
-        elif name == "sd":
-            r = special.sd(vals[0], vals[1])
-        else:  # pragma: no cover
-            raise ExprError(f"no evaluator for {name}")
-    except special.SpecialFunctionError as exc:
-        raise EvalDomainError(str(exc)) from exc
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(f"{name}: {exc}") from exc
-    if not math.isfinite(r):
-        raise EvalDomainError(f"{name} produced a non-finite value")
-    return r
-
+# One evaluator: `evaluate_points` computes whole trees over all points of
+# a check in one numpy pass; `evaluate` and `compile_expr` are its one-point
+# forms.  A point is outside the domain when a node divides by zero, a
+# power has no real value or overflows, a call (ln and sqrt out of range, a
+# kernel's domain error, pole or missing convergence, a tabulated function
+# queried outside its knots) gives a non-finite value, or the final value
+# is not finite.  Other intermediate values may be infinite.
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at a point binding every free variable; IEEE-double result.
 
-    A one-point call of `compile_expr`: raises EvalDomainError outside the
-    function's real domain and ExprError on a missing binding.
+    A one-point call of `evaluate_points`: raises EvalDomainError outside
+    the function's real domain and ExprError on a missing binding.
     """
     names = tuple(point)
-    return compile_expr(e, names)(tuple(float(point[nm]) for nm in names))
+    (value,), ok = evaluate_points([e], names, [tuple(float(point[nm]) for nm in names)])
+    if not ok[0]:
+        raise EvalDomainError(f"{dict(point)} is outside the expression's domain")
+    return float(value[0])
 
 
 def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
-    """Compile to a fast callable f(values_tuple) -> float.
-
-    The scalar evaluator, for callers that choose each point from the last
-    (quadrature, probes); `evaluate_points` is the batch one, with the
-    same domain rule.  A non-leaf node that occurs more than once in the
-    tree is computed once per point: its closure keeps the last point
-    object and its value, so a point must be a tuple (or never changed in
-    place once passed).
-    """
-    index = {n: i for i, n in enumerate(names)}
-    seen: dict[Expr, int] = {}
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if n.args:
-            seen[n] = seen.get(n, 0) + 1
-            if seen[n] == 1:
-                stack.extend(n.args)
-    shared: dict[Expr, Callable] = {}
-
-    def build(n: Expr) -> Callable:
-        f = shared.get(n)
-        if f is None:
-            f = build_node(n)
-            if seen.get(n, 0) > 1:
-                f = shared[n] = _once_per_point(f)
-        return f
-
-    def build_node(n: Expr) -> Callable:
-        k = n.kind
-        if k == "const":
-            v = n.value
-            return lambda p: v
-        if k in ("var", "param"):
-            if n.name not in index:
-                raise ExprError(f"no binding for variable {n.name!r}")
-            i = index[n.name]
-            return lambda p: p[i]
-        if k == "neg":
-            f = build(n.args[0])
-            return lambda p: -f(p)
-        if k == "add":
-            fa, fb = build(n.args[0]), build(n.args[1])
-            return lambda p: fa(p) + fb(p)
-        if k == "sub":
-            fa, fb = build(n.args[0]), build(n.args[1])
-            return lambda p: fa(p) - fb(p)
-        if k == "mul":
-            fa, fb = build(n.args[0]), build(n.args[1])
-            return lambda p: fa(p) * fb(p)
-        if k == "div":
-            fa, fb = build(n.args[0]), build(n.args[1])
-
-            def fdiv(p, fa=fa, fb=fb):
-                b = fb(p)
-                if b == 0.0:
-                    raise EvalDomainError("division by zero")
-                return fa(p) / b
-
-            return fdiv
-        if k == "pow":
-            fa, fb = build(n.args[0]), build(n.args[1])
-            if n.args[1].kind == "const":
-                ex = n.args[1].value
-                return lambda p: _pow(fa(p), ex)
-            return lambda p: _pow(fa(p), fb(p))
-        if k == "call":
-            fs = [build(a) for a in n.args]
-            name = n.name
-            if len(fs) == 1:
-                f0 = fs[0]
-                return lambda p: _call_value(name, [f0(p)])
-            if len(fs) == 2:
-                f0, f1 = fs
-                return lambda p: _call_value(name, [f0(p), f1(p)])
-            f0, f1, f2 = fs
-            return lambda p: _call_value(name, [f0(p), f1(p), f2(p)])
-        if k == "interp":
-            f0 = build(n.args[0])
-            data = n.data
-            return lambda p: _interp_eval(data, f0(p))
-        raise ExprError(f"cannot compile node kind {k!r}")
-
-    inner = build(e)
-
-    def run(p) -> float:
-        r = inner(p)
-        if not math.isfinite(r):
-            raise EvalDomainError("non-finite result")
-        return r
-
-    return run
+    """e as a callable f(values_tuple) -> float, a one-point `evaluate`
+    per call.  A check over a known point set makes one batch call of
+    `evaluate_points` instead."""
+    return lambda point: evaluate(e, dict(zip(names, point)))
 
 
-def _once_per_point(f: Callable) -> Callable:
-    """f with its value kept for the last point object; a point at which
-    f raises leaves the kept value as it was."""
-    last_p = last_v = None
-
-    def g(p):
-        nonlocal last_p, last_v
-        if p is not last_p:
-            last_v = f(p)
-            last_p = p
-        return last_v
-
-    return g
-
+_ELLIPTIC = ("sn", "cn", "dn", "ds", "sd")
 
 _ARRAY_1 = {
     "exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -1207,7 +1034,9 @@ class _Batch:
         raise ExprError(f"cannot evaluate node kind {k!r}")
 
     def _pow(self, a: np.ndarray, b) -> np.ndarray:
-        """`_pow` elementwise; b is an array or a constant exponent."""
+        """a^b elementwise; b is an array or a constant exponent.  A
+        negative base takes an exponent within 1e-9 of an integer as that
+        integer; 0 to a nonpositive power has no value."""
         pos = a > 0.0
         r = np.power(a, b)
         if not pos.all():
@@ -1258,8 +1087,8 @@ def evaluate_points(exprs: list[Expr], names: tuple[str, ...],
 
     `points` is an (n, d) array or n tuples of d coordinates (for one
     name, n numbers).  Returns (values[k, n], ok[n]): ok is False at a
-    point where any of the expressions leaves its domain (the rule of
-    `compile_expr`), and the values there are meaningless.  Each distinct
+    point where any of the expressions leaves its domain (the rule above),
+    and the values there are meaningless.  Each distinct
     node is computed once per call, across all k trees, and each (z, k)
     pair of the Jacobi functions costs one kernel call.
     """

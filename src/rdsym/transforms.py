@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import special
 from .expr import (
     Expr,
     EvalDomainError,
-    compile_expr,
     const,
     diff,
     evaluate_points,
@@ -212,6 +213,65 @@ def _tabulated_inverse(phi: Expr, lo: float, hi: float, knots: int = 129) -> Exp
     return _hermite_inverse(xs, *vals.tolist())
 
 
+# Gauss-Legendre orders of the gauge quadrature: the higher one gives the
+# integrals, their disagreement bounds the error of the lower one
+_GAUSS_ORDERS = (10, 20)
+# largest disagreement accepted, relative to max(1, |whole integral|); on an
+# integrand that is smooth on the scale of a knot interval both orders are
+# exact to rounding (<= 1e-15)
+_QUADRATURE_TOL = 1e-10
+
+
+def _quadrature_map(integrand: Expr, lo: float, hi: float, x0: float) -> tuple[Expr, Expr]:
+    """phi(x) = x0 + int_x0^x integrand and its inverse, as quintic Hermite
+    tables on 129 uniform knots of [lo, hi].
+
+    Each knot interval, and the piece from the knot below x0 to x0, is
+    integrated by composite Gauss-Legendre rules of both _GAUSS_ORDERS.  One
+    batch evaluates the integrand at every node and the integrand and its
+    derivative at the knots.  Raises ValidationError when the two orders
+    disagree by more than _QUADRATURE_TOL: the integrand then varies too
+    fast for the knot spacing, which the table could not follow either.
+    """
+    # numpy.polynomial is imported here: it costs ~5 ms at start-up and
+    # only this fallback uses it
+    from numpy.polynomial.legendre import leggauss
+
+    knots = 129
+    xs = lo + (hi - lo) * np.arange(knots) / (knots - 1)
+    j = min(int(np.searchsorted(xs, x0, side="right")) - 1, knots - 2)
+    a, b = np.append(xs[:-1], xs[j]), np.append(xs[1:], x0)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    rules = [leggauss(n) for n in _GAUSS_ORDERS]
+    nodes = [(mid[:, None] + half[:, None] * t).ravel() for t, _ in rules]
+    vals, ok = evaluate_points([integrand, diff(integrand, "x")], ("x",),
+                               np.concatenate([xs, *nodes]))
+    if not ok.all():
+        raise EvalDomainError("the gauge integrand is undefined on the domain")
+    ys = []
+    for (_, w), fv in zip(rules, np.split(vals[0, knots:], [nodes[0].size])):
+        pieces = half * (fv.reshape(len(a), -1) @ w)
+        cum = np.concatenate([[0.0], np.cumsum(pieces[:-1])])
+        ys.append(x0 + cum - (cum[j] + pieces[-1]))   # anchored: phi(x0) = x0
+    est = float(np.abs(ys[0] - ys[1]).max())
+    bound = _QUADRATURE_TOL * max(1.0, abs(ys[1][-1] - ys[1][0]))
+    if est > bound:
+        raise ValidationError(
+            f"gauge quadrature error estimate {est:.2e} exceeds {bound:.2e}: Gauss-Legendre "
+            f"orders {_GAUSS_ORDERS[0]} and {_GAUSS_ORDERS[1]} disagree on the knot intervals")
+    table = (xs.tolist(), ys[1].tolist(), vals[0, :knots].tolist(), vals[1, :knots].tolist())
+    return _hermite(*table), _hermite_inverse(*table)
+
+
+def _image_of_ends(e: Expr, names: tuple[str, ...], ends) -> tuple[float, float]:
+    """(min, max) of e at the two points `ends`, the images of a domain's
+    ends, in one batch."""
+    (vals,), ok = evaluate_points([e], names, ends)
+    if not ok.all():
+        raise EvalDomainError("the map is undefined at an end of the domain")
+    return float(vals.min()), float(vals.max())
+
+
 # -- point maps ------------------------------------------------------------------
 
 def _point_map(fwd_T: Expr, fwd_X: Expr, inv_t: Expr, inv_x: Expr, mul: Expr,
@@ -251,8 +311,9 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
 
     New elements: f'=g'=sign(g)|fg|^(1/2), h'=sqrt|g/f| h, composed with
     the inverse coordinate map.  The integral uses the antiderivative rule
-    table when it matches, otherwise adaptive quadrature with a monotone
-    cubic inverse.
+    table when it matches, otherwise composite Gauss-Legendre quadrature
+    tabulated as a quintic Hermite table with its inverse (see
+    `_quadrature_map`).
     """
     require_valid(eq)
     sf, sg = eq.sign_f(), eq.sign_g()
@@ -272,33 +333,17 @@ def gauge_fg(eq: RDEquation, x0: float) -> tuple[RDEquation, PointTransformation
     else:
         phi, inv = None, None
     if phi is None or inv is None:
-        lo, hi = eq.domain.lo, eq.domain.hi
-        if not (lo <= x0 <= hi):
+        if not (eq.domain.lo <= x0 <= eq.domain.hi):
             raise ValidationError("x0 must lie inside the domain for the "
                                   "quadrature fallback")
-        fn = compile_expr(integrand, ("x",))
-        dfn = compile_expr(diff(integrand, "x"), ("x",))
-        knots = 129
-        xs = [lo + (hi - lo) * i / (knots - 1) for i in range(knots)]
-        # cumulative quadrature, anchored so that phi(x0) = x0
-        cum = [0.0]
-        for a, b in zip(xs, xs[1:]):
-            cum.append(cum[-1] + special.adaptive_simpson(lambda y: fn((y,)), a, b))
-        off = special.adaptive_simpson(lambda y: fn((y,)), lo, x0)
-        ys = [x0 + c - off for c in cum]
-        ds = [fn((v,)) for v in xs]
-        cs = [dfn((v,)) for v in xs]
-        phi = _hermite(xs, ys, ds, cs)
-        inv = _hermite_inverse(xs, ys, ds, cs)
+        phi, inv = _quadrature_map(integrand, eq.domain.lo, eq.domain.hi, x0)
 
     sqrt_fg = simplify(sqrt(simplify(const(sf) * eq.f * const(sg) * eq.g)), asm)
     new_f = simplify(const(sg) * substitute(sqrt_fg, "x", inv))
     hw = simplify(sqrt(simplify(const(sg) * eq.g / (const(sf) * eq.f))) * eq.h, asm)
     new_h = simplify(substitute(hw, "x", inv))
 
-    f_phi = compile_expr(phi, ("x",))
-    a, b = f_phi((eq.domain.lo,)), f_phi((eq.domain.hi,))
-    new_domain = Interval(min(a, b), max(a, b))
+    new_domain = Interval(*_image_of_ends(phi, ("x",), [eq.domain.lo, eq.domain.hi]))
     new_eq = RDEquation(new_f, new_f, new_h, eq.m, new_domain, eq.dep)
 
     t_map = simplify(const(s_fg) * T)   # t or -t, its own inverse
@@ -504,9 +549,7 @@ def apply_equiv(eq: Equation, params, group: str):
             new_f = _compose_inverse(simplify(const(d(0) * d(1)) / (phix * psi ** 2) * eq.f), inv_x)
             new_g = _compose_inverse(simplify(const(d(0)) * phix / psi ** 2 * eq.g), inv_x)
             mul = psi
-        fphi = compile_expr(phi, ("x",))
-        a, b = fphi((eq.domain.lo,)), fphi((eq.domain.hi,))
-        new_dom = Interval(min(a, b), max(a, b))
+        new_dom = Interval(*_image_of_ends(phi, ("x",), [eq.domain.lo, eq.domain.hi]))
         tr = _point_map(const(d(1)) * T + const(d(2)), phi,
                         simplify((T - const(d(2))) / const(d(1))), inv_x, mul, shift, eq.dep)
         return RDEquation(new_f, new_g, new_h, eq.m, new_dom, eq.dep), tr
@@ -634,16 +677,8 @@ def strip_time_dependence(e: Expr, domain: Interval,
     if "t" not in free_variables(e):
         return e
     mid = 0.5 * (domain.lo + domain.hi)
-    fn = compile_expr(e, ("t", "x"))
-    valid = []
-    for cand in _T_REF_CANDIDATES:
-        try:
-            fn((cand, mid))
-            valid.append(cand)
-        except EvalDomainError:
-            continue
-        if len(valid) == 2:
-            break
+    _, ok = evaluate_points([e], ("t", "x"), [(t, mid) for t in _T_REF_CANDIDATES])
+    valid = [t for t, good in zip(_T_REF_CANDIDATES, ok) if good]
     if len(valid) < 2:
         raise ValidationError("cannot find reference times to pin the element")
     a = simplify(substitute(e, "t", const(valid[0])))
@@ -887,10 +922,7 @@ def apply_additional(eq: Equation, which: str, params: dict | None = None) -> Ad
 def _image_domain(domain: Interval, tr: PointTransformation,
                   t_ref: float = 1.0) -> Interval:
     """Image of the x-domain at a reference time."""
-    fx = compile_expr(tr.X, ("t", "x"))
-    a = fx((t_ref, domain.lo))
-    b = fx((t_ref, domain.hi))
-    lo, hi = min(a, b), max(a, b)
+    lo, hi = _image_of_ends(tr.X, ("t", "x"), [(t_ref, domain.lo), (t_ref, domain.hi)])
     if hi - lo < 1e-9:
         hi = lo + 1e-3
     return Interval(lo, hi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rdsym import special
+from rdsym.expr import EvalDomainError, evaluate, parse
 from conftest import fn_central_diff
 
 
@@ -154,7 +155,7 @@ class TestMpmathOracles:
     code.  Parameters are exact in binary, so that mpmath sees the
     kernel's own inputs."""
 
-    K = [1e-6, 0.05, 0.3, 0.5, math.sqrt(2) / 2, 0.9, 0.99, 0.999999]
+    K = [1e-6, 0.05, 0.3, 0.5, math.sqrt(2) / 2, 0.9, 0.99, 0.999, 0.999999]
     Z = [*np.linspace(-100.0, 100.0, 81), 0.0, 1e-8, -1e-8]
 
     def test_jacobi(self):
@@ -164,11 +165,9 @@ class TestMpmathOracles:
         with mpmath.workdps(30):
             for (i, j), z in np.ndenumerate(zs):
                 k = ks[i, j]
-                # near k = 1 the complement 1 - k^2 loses digits to cancellation
-                tol = 1e-13 if k <= 0.99 else 1e-10
                 for part, name in zip(got, ("sn", "cn", "dn")):
                     want = float(mpmath.ellipfun(name, z, m=mpmath.mpf(k) ** 2))
-                    assert abs(part[i, j] - want) <= tol, (name, z, k)
+                    assert abs(part[i, j] - want) <= 1e-13, (name, z, k)
                 if j % 10 == 0:
                     assert special.jacobi(z, k) == tuple(p[i, j] for p in got)
 
@@ -199,26 +198,34 @@ class TestMpmathOracles:
                 assert special.erf(x) == g
 
 
+def ds(z, k):
+    return evaluate(parse("ds(z, k)"), {"z": z, "k": k})
+
+
+def sd(z, k):
+    return evaluate(parse("sd(z, k)"), {"z": z, "k": k})
+
+
 class TestDsSd:
     def test_sd_at_origin(self):
-        assert special.sd(0.0, 0.5) == 0.0
+        assert sd(0.0, 0.5) == 0.0
 
     def test_reciprocal_relation(self):
         for i in range(32):
             z = 0.2 + i * 0.11
             try:
-                v = special.ds(z, 0.6) * special.sd(z, 0.6)
-            except special.SpecialFunctionError:
+                v = ds(z, 0.6) * sd(z, 0.6)
+            except EvalDomainError:
                 continue
             assert abs(v - 1.0) <= 1e-10
 
     def test_small_argument_series(self):
         # ds behaves like 1/z near the origin
-        assert abs(1e-4 * special.ds(1e-4, 0.5) - 1.0) < 1e-7
+        assert abs(1e-4 * ds(1e-4, 0.5) - 1.0) < 1e-7
 
     def test_pole_guard(self):
-        with pytest.raises(special.SpecialFunctionError):
-            special.ds(0.0, 0.5)
+        with pytest.raises(EvalDomainError):
+            ds(0.0, 0.5)
 
 
 class TestErf:
@@ -230,10 +237,11 @@ class TestErf:
             assert special.erf(-x) == -special.erf(x)
 
     def test_against_quadrature_oracle(self):
-        two_over = 2.0 / math.sqrt(math.pi)
+        # 2/sqrt(pi) int_0^x exp(-t^2) dt by a 40-node Gauss-Legendre rule
+        nodes, weights = np.polynomial.legendre.leggauss(40)
         for x in (0.25, 1.0, 2.0, 3.0, 3.5, 5.0):
-            want = two_over * special.adaptive_simpson(
-                lambda t: math.exp(-t * t), 0.0, x, tol=1e-14)
+            t = 0.5 * x * (nodes + 1.0)
+            want = x / math.sqrt(math.pi) * (weights @ np.exp(-t * t))
             assert abs(special.erf(x) - want) <= 1e-12
 
     def test_asymptote(self):
@@ -260,13 +268,8 @@ class TestHermiteTable:
             special.hermite_eval(grid, coeffs, 2.0)
 
 
-def test_adaptive_simpson_exact_polynomial():
-    assert abs(special.adaptive_simpson(lambda t: t ** 3, 0.0, 2.0) - 4.0) < 1e-13
-    assert abs(special.adaptive_simpson(math.exp, 0.0, 1.0) - (math.e - 1)) < 1e-12
-
-
 def test_ds_at_quarter_period_matches_agm_oracle():
     k = math.sqrt(2) / 2
     K = agm_oracle_K(k)
     # ds(K, k) = dn/sn = sqrt(1-k^2)
-    assert abs(special.ds(K, k) - math.sqrt(1 - k * k)) < 1e-10
+    assert abs(ds(K, k) - math.sqrt(1 - k * k)) < 1e-10

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from rdsym import tables
+from rdsym import tables, transforms
 from rdsym.classify import classify_double_imaged
 from rdsym.expr import (
     EvalDomainError,
     compile_expr,
     const,
     evaluate,
+    evaluate_points,
     max_deviation,
     num_equal,
     parse,
@@ -100,6 +101,28 @@ class TestGauge:
         rep = map_residual_check(eq, new, tr, n=64, tol=1e-7)
         assert rep.passed, rep.max_residual
         assert_round_trip(tr, eq.domain)
+        # the table against int_1^x sqrt(1 + y^2) dy, with the antiderivative
+        # [y sqrt(1 + y^2) + asinh y]/2, at the knots and between them
+        assert tr.X.kind == "interp"
+        knots = tr.X.data[0]
+        xs = [*knots, *(0.5 * (a + b) for a, b in zip(knots, knots[1:]))]
+        (got,), ok = evaluate_points([tr.X], ("x",), xs)
+        anti = [0.5 * (y * math.sqrt(1 + y * y) + math.asinh(y)) for y in (1.0, *xs)]
+        assert ok.all()
+        assert max(abs(g - (1.0 + a - anti[0])) for g, a in zip(got, anti[1:])) <= 1e-13
+
+    def test_unresolved_quadrature_raises(self, monkeypatch):
+        # 1/sqrt(x - 0.499) varies too fast near x = 0.5 for 128 knot
+        # intervals: the two Gauss-Legendre orders disagree by 2.5e-7 (a
+        # table built from it failed map_residual_check at 4.2e-4)
+        calls = []
+        quadrature = transforms._quadrature_map
+        monkeypatch.setattr(transforms, "_quadrature_map",
+                            lambda *args: calls.append(args) or quadrature(*args))
+        eq = RDEquation(const(1), parse("x - 0.499"), const(1), M, Interval(0.5, 2.0))
+        with pytest.raises(ValidationError, match="quadrature error estimate"):
+            gauge_fg(eq, 1.0)
+        assert len(calls) == 1   # the input reaches the quadrature branch
 
     def test_sign_fixed_by_the_domain(self):
         # sqrt(f/g) = sqrt(x^2) is x on x > 0, which the rule table integrates
